@@ -77,21 +77,9 @@ experiments:
 # scale runs the control-plane scale sweep (DESIGN.md §9) at the CI
 # slice; the full grid (up to 256 GPUs x 1M requests) is
 # `go run ./cmd/punica-bench scale`.
+FLAGS_scale = -scale-gpus 16,64,256 -scale-requests 100000 -parallel 4
 scale:
 	$(GO) run ./cmd/punica-bench -scale-gpus 16,64,256 -scale-requests 100000 scale
-
-# scale-check re-runs the CI slice sharded (-parallel 4) and fails on a
-# >20% events/sec regression against the committed baseline
-# (bench/BENCH_scale.json, DESIGN.md §11).
-scale-check:
-	$(GO) run ./cmd/punica-bench -scale-gpus 16,64,256 -scale-requests 100000 -parallel 4 \
-		-baseline bench/BENCH_scale.json -regress-threshold 0.20 scale
-
-# scale-baseline regenerates the committed baseline after intentional
-# performance changes.
-scale-baseline:
-	$(GO) run ./cmd/punica-bench -scale-gpus 16,64,256 -scale-requests 100000 -parallel 4 \
-		-json bench/BENCH_scale.json scale
 
 # soak runs the everything-at-once scenario: two simulated hours of
 # diurnal traffic with flash crowds, tenant churn, popularity drift,
@@ -99,39 +87,22 @@ scale-baseline:
 soak:
 	$(GO) run ./cmd/punica-bench soak
 
-# traffic-check replays the flash-crowd fairness sweep and fails if
-# throughput, the off/on stall-skew ratio, or the tail-p99 gain
-# regresses >20% against the committed baseline. The sweep is fully
-# deterministic, so the gate is exact up to the threshold.
-traffic-check:
-	$(GO) run ./cmd/punica-bench -traffic-baseline bench/BENCH_traffic.json -regress-threshold 0.20 traffic
+# <experiment>-check replays a gated experiment and fails if a metric
+# punica-bench gates for it regresses past the threshold against the
+# committed bench/BENCH_<experiment>.json:
+#   scale      events/sec, sharded over -parallel 4 (DESIGN.md §11)
+#   traffic    throughput, off/on stall-skew ratio, tail-p99 gain
+#   coldstart  throughput, naive-vs-predist cold-start p99 gain
+#   overload   shedding-on vs -off goodput retention
+# The simulated sweeps are deterministic, so their 20% gates are exact
+# up to the threshold. overload replays open-loop traffic through the
+# live HTTP stack at 1-4x capacity in wall time (HTTP, goroutines,
+# pacing timers), so its threshold is a generous 50%.
+# <experiment>-baseline regenerates the committed baseline after
+# intentional changes.
+scale-check traffic-check coldstart-check overload-check: %-check:
+	$(GO) run ./cmd/punica-bench $(FLAGS_$*) -baseline bench/BENCH_$*.json \
+		-regress-threshold $(if $(filter overload,$*),0.50,0.20) $*
 
-# traffic-baseline regenerates the committed fairness baseline after
-# intentional scheduler or traffic-engine changes.
-traffic-baseline:
-	$(GO) run ./cmd/punica-bench -json bench/BENCH_traffic.json traffic
-
-# coldstart-check replays the tiered adapter-cache mitigation sweep and
-# fails if throughput or the naive-vs-predist cold-start p99 gain
-# regresses >20% against the committed baseline. The sweep is fully
-# deterministic, so the gate is exact up to the threshold.
-coldstart-check:
-	$(GO) run ./cmd/punica-bench -coldstart-baseline bench/BENCH_coldstart.json -regress-threshold 0.20 coldstart
-
-# coldstart-baseline regenerates the committed cold-start baseline after
-# intentional tier-model or pre-distribution changes.
-coldstart-baseline:
-	$(GO) run ./cmd/punica-bench -json bench/BENCH_coldstart.json coldstart
-
-# overload-check replays open-loop traffic through the live HTTP stack
-# at 1-4x capacity with the admission layer off and on, and fails if the
-# shedding-on vs -off goodput retention regresses >50% against the
-# committed baseline. Unlike the simulated sweeps this one runs in wall
-# time (HTTP, goroutines, pacing sleeps), so the threshold is generous.
-overload-check:
-	$(GO) run ./cmd/punica-bench -overload-baseline bench/BENCH_overload.json -regress-threshold 0.50 overload
-
-# overload-baseline regenerates the committed overload baseline after
-# intentional admission/serving changes.
-overload-baseline:
-	$(GO) run ./cmd/punica-bench -json bench/BENCH_overload.json overload
+scale-baseline traffic-baseline coldstart-baseline overload-baseline: %-baseline:
+	$(GO) run ./cmd/punica-bench $(FLAGS_$*) -json bench/BENCH_$*.json $*

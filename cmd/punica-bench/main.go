@@ -41,14 +41,8 @@ var (
 	cellsFlag    = flag.Int("cells", 0, "scale: simulation cells per fleet (0 auto: GPUs/32 in [1,16]; 1 forces the classic single-cluster path)")
 	parallelFlag = flag.Int("parallel", 1, "scale: worker goroutines advancing cells between epoch barriers (results are identical for any value)")
 
-	baselineFlag = flag.String("baseline", "", "scale: committed BENCH_scale.json to gate against; the run fails if events/sec regresses past -regress-threshold")
-	regressFlag  = flag.Float64("regress-threshold", 0.20, "scale: fractional events/sec drop vs -baseline that fails the run")
-
-	trafficBaselineFlag = flag.String("traffic-baseline", "", "traffic: committed BENCH_traffic.json to gate against; the run fails if throughput, the off/on stall-skew ratio, or the tail-p99 gain regresses past -regress-threshold")
-
-	coldstartBaselineFlag = flag.String("coldstart-baseline", "", "coldstart: committed BENCH_coldstart.json to gate against; the run fails if throughput or the naive-vs-predist cold-start p99 gain regresses past -regress-threshold")
-
-	overloadBaselineFlag = flag.String("overload-baseline", "", "overload: committed BENCH_overload.json to gate against; the run fails if the shedding-on vs -off goodput retention regresses past -regress-threshold")
+	baselineFlag = flag.String("baseline", "", "scale, traffic, coldstart, overload: committed bench/BENCH_<experiment>.json to gate against; the run fails if a gated metric regresses past -regress-threshold")
+	regressFlag  = flag.Float64("regress-threshold", 0.20, "fractional drop of a gated metric vs -baseline that fails the run")
 
 	soakHorizonFlag = flag.Duration("soak-horizon", 0, "soak: override the simulated horizon (default 2h)")
 )
@@ -88,6 +82,9 @@ func main() {
 			}
 		}
 	} else if err := run(name); err != nil {
+		fatal(err)
+	}
+	if err := checkBaseline(name, benchRecords); err != nil {
 		fatal(err)
 	}
 	if err := writeBenchJSON(); err != nil {
@@ -321,20 +318,8 @@ func run(name string) error {
 		}); err != nil {
 			return err
 		}
-		if err := checkScaleBaseline(experiments.ScaleRecords(points)); err != nil {
-			return err
-		}
 	case "traffic":
-		var topts experiments.TrafficOptions
-		// The default sweep is pinned (seed and all) so the committed
-		// BENCH_traffic.json baseline reproduces exactly; only an
-		// explicit -seed overrides it.
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "seed" {
-				topts.Seed = *seedFlag
-			}
-		})
-		points, err := experiments.Traffic(topts)
+		points, err := experiments.Traffic(experiments.TrafficOptions{Seed: pinnedSeed()})
 		if err != nil {
 			return err
 		}
@@ -345,20 +330,8 @@ func run(name string) error {
 		}); err != nil {
 			return err
 		}
-		if err := checkTrafficBaseline(experiments.TrafficRecords(points)); err != nil {
-			return err
-		}
 	case "coldstart":
-		// The default sweep is pinned (seed and all) so the committed
-		// BENCH_coldstart.json baseline reproduces exactly; only an
-		// explicit -seed overrides it.
-		var copts experiments.ColdStartOptions
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "seed" {
-				copts.Seed = *seedFlag
-			}
-		})
-		points, err := experiments.ColdStart(copts)
+		points, err := experiments.ColdStart(experiments.ColdStartOptions{Seed: pinnedSeed()})
 		if err != nil {
 			return err
 		}
@@ -369,21 +342,8 @@ func run(name string) error {
 		}); err != nil {
 			return err
 		}
-		if err := checkColdStartBaseline(experiments.ColdStartRecords(points)); err != nil {
-			return err
-		}
 	case "overload":
-		// The sweep replays open-loop traffic through the live HTTP
-		// stack in wall time; the defaults are pinned so the committed
-		// BENCH_overload.json baseline is comparable run-to-run. Only an
-		// explicit -seed overrides them.
-		var oopts experiments.OverloadOptions
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "seed" {
-				oopts.Seed = *seedFlag
-			}
-		})
-		points, err := experiments.Overload(oopts)
+		points, err := experiments.Overload(experiments.OverloadOptions{Seed: pinnedSeed()})
 		if err != nil {
 			return err
 		}
@@ -392,9 +352,6 @@ func run(name string) error {
 		if err := writeCSV(func(w io.Writer) error {
 			return experiments.OverloadCSV(w, points)
 		}); err != nil {
-			return err
-		}
-		if err := checkOverloadBaseline(experiments.OverloadRecords(points)); err != nil {
 			return err
 		}
 	case "soak":
@@ -429,112 +386,47 @@ func run(name string) error {
 	return nil
 }
 
-// checkTrafficBaseline gates the traffic sweep against a committed
-// baseline when -traffic-baseline is set. Three metrics gate: raw
-// throughput on every run row, and the off/on stall-skew ratio and
-// tail-p99 gain on the per-peak fairness-gain rows — the numbers the
-// fairness layer is accountable for.
-func checkTrafficBaseline(current []experiments.BenchRecord) error {
-	if *trafficBaselineFlag == "" {
-		return nil
-	}
-	f, err := os.Open(*trafficBaselineFlag)
-	if err != nil {
-		return fmt.Errorf("-traffic-baseline: %w", err)
-	}
-	defer f.Close()
-	baseline, err := experiments.ReadBenchJSON(f)
-	if err != nil {
-		return fmt.Errorf("-traffic-baseline %s: %w", *trafficBaselineFlag, err)
-	}
-	var errs []error
-	for _, metric := range []string{"throughput_tok_s", "skew_ratio", "tail_p99_gain"} {
-		errs = append(errs, experiments.CompareBaseline(baseline, current, metric, *regressFlag)...)
-	}
-	for _, e := range errs {
-		fmt.Fprintln(os.Stderr, "regression:", e)
-	}
-	if len(errs) > 0 {
-		return fmt.Errorf("%d traffic metric(s) regressed past %.0f%% vs %s",
-			len(errs), 100**regressFlag, *trafficBaselineFlag)
-	}
-	fmt.Fprintf(os.Stderr, "baseline check passed: no throughput/skew-ratio/tail-p99-gain regression past %.0f%% vs %s\n",
-		100**regressFlag, *trafficBaselineFlag)
-	return nil
+// pinnedSeed returns -seed if it was given explicitly and 0 otherwise.
+// The traffic, coldstart and overload sweeps are pinned, seed and all,
+// so their committed baselines reproduce (overload, which runs in wall
+// time, run-to-run comparably); only an explicit -seed overrides that.
+func pinnedSeed() (seed int64) {
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "seed" {
+			seed = *seedFlag
+		}
+	})
+	return seed
 }
 
-// checkColdStartBaseline gates the cold-start sweep against a committed
-// baseline when -coldstart-baseline is set. Two metrics gate: raw
-// throughput on every run row, and the naive-vs-predist cold-start p99
-// gain — the number pre-distribution + overlap are accountable for.
-func checkColdStartBaseline(current []experiments.BenchRecord) error {
-	if *coldstartBaselineFlag == "" {
-		return nil
-	}
-	f, err := os.Open(*coldstartBaselineFlag)
-	if err != nil {
-		return fmt.Errorf("-coldstart-baseline: %w", err)
-	}
-	defer f.Close()
-	baseline, err := experiments.ReadBenchJSON(f)
-	if err != nil {
-		return fmt.Errorf("-coldstart-baseline %s: %w", *coldstartBaselineFlag, err)
-	}
-	var errs []error
-	for _, metric := range []string{"throughput_tok_s", "cold_p99_gain"} {
-		errs = append(errs, experiments.CompareBaseline(baseline, current, metric, *regressFlag)...)
-	}
-	for _, e := range errs {
-		fmt.Fprintln(os.Stderr, "regression:", e)
-	}
-	if len(errs) > 0 {
-		return fmt.Errorf("%d coldstart metric(s) regressed past %.0f%% vs %s",
-			len(errs), 100**regressFlag, *coldstartBaselineFlag)
-	}
-	fmt.Fprintf(os.Stderr, "baseline check passed: no throughput/cold-p99-gain regression past %.0f%% vs %s\n",
-		100**regressFlag, *coldstartBaselineFlag)
-	return nil
+// gatedMetrics names, per experiment, the bench-record metrics that
+// -baseline gates. Every one is higher-is-better:
+//   - scale: control-plane events/sec at each grid point;
+//   - traffic: raw throughput on every run row, plus the off/on
+//     stall-skew ratio and tail-p99 gain the fairness layer is
+//     accountable for;
+//   - coldstart: raw throughput, plus the naive-vs-predist cold-start
+//     p99 gain pre-distribution and overlap are accountable for;
+//   - overload: the shedding-on vs -off goodput retention. Its per-run
+//     latency and refusal rows are wall-clock sensitive, so they ride
+//     along as informational data and do not gate.
+var gatedMetrics = map[string][]string{
+	"scale":     {"events_per_sec"},
+	"traffic":   {"throughput_tok_s", "skew_ratio", "tail_p99_gain"},
+	"coldstart": {"throughput_tok_s", "cold_p99_gain"},
+	"overload":  {"goodput_retention"},
 }
 
-// checkOverloadBaseline gates the overload sweep against a committed
-// baseline when -overload-baseline is set. One metric gates: the
-// shedding-on vs -off goodput retention on the per-factor shedding-gain
-// rows — the number the admission layer is accountable for. The
-// per-run rows (latency percentiles, refusal counters) ride along as
-// informational data; they are wall-clock sensitive, so they do not
-// gate.
-func checkOverloadBaseline(current []experiments.BenchRecord) error {
-	if *overloadBaselineFlag == "" {
-		return nil
-	}
-	f, err := os.Open(*overloadBaselineFlag)
-	if err != nil {
-		return fmt.Errorf("-overload-baseline: %w", err)
-	}
-	defer f.Close()
-	baseline, err := experiments.ReadBenchJSON(f)
-	if err != nil {
-		return fmt.Errorf("-overload-baseline %s: %w", *overloadBaselineFlag, err)
-	}
-	errs := experiments.CompareBaseline(baseline, current, "goodput_retention", *regressFlag)
-	for _, e := range errs {
-		fmt.Fprintln(os.Stderr, "regression:", e)
-	}
-	if len(errs) > 0 {
-		return fmt.Errorf("%d overload metric(s) regressed past %.0f%% vs %s",
-			len(errs), 100**regressFlag, *overloadBaselineFlag)
-	}
-	fmt.Fprintf(os.Stderr, "baseline check passed: no goodput-retention regression past %.0f%% vs %s\n",
-		100**regressFlag, *overloadBaselineFlag)
-	return nil
-}
-
-// checkScaleBaseline gates the scale run against a committed baseline
-// when -baseline is set: any grid point whose events/sec fell more than
-// -regress-threshold below the baseline fails the command.
-func checkScaleBaseline(current []experiments.BenchRecord) error {
+// checkBaseline gates an experiment's records against the committed
+// baseline when -baseline is set: any gated metric that fell more than
+// -regress-threshold below its baseline value fails the command.
+func checkBaseline(experiment string, current []experiments.BenchRecord) error {
 	if *baselineFlag == "" {
 		return nil
+	}
+	gated := gatedMetrics[experiment]
+	if len(gated) == 0 {
+		return fmt.Errorf("-baseline: experiment %q has no gated metrics", experiment)
 	}
 	f, err := os.Open(*baselineFlag)
 	if err != nil {
@@ -545,16 +437,19 @@ func checkScaleBaseline(current []experiments.BenchRecord) error {
 	if err != nil {
 		return fmt.Errorf("-baseline %s: %w", *baselineFlag, err)
 	}
-	errs := experiments.CompareBaseline(baseline, current, "events_per_sec", *regressFlag)
+	var errs []error
+	for _, metric := range gated {
+		errs = append(errs, experiments.CompareBaseline(baseline, current, metric, *regressFlag)...)
+	}
 	for _, e := range errs {
 		fmt.Fprintln(os.Stderr, "regression:", e)
 	}
 	if len(errs) > 0 {
-		return fmt.Errorf("%d scale point(s) regressed past %.0f%% vs %s",
-			len(errs), 100**regressFlag, *baselineFlag)
+		return fmt.Errorf("%d %s metric(s) regressed past %.0f%% vs %s",
+			len(errs), experiment, 100**regressFlag, *baselineFlag)
 	}
-	fmt.Fprintf(os.Stderr, "baseline check passed: no events/sec regression past %.0f%% vs %s\n",
-		100**regressFlag, *baselineFlag)
+	fmt.Fprintf(os.Stderr, "baseline check passed: no %s regression past %.0f%% vs %s\n",
+		strings.Join(gated, "/"), 100**regressFlag, *baselineFlag)
 	return nil
 }
 
@@ -596,9 +491,9 @@ func usage() {
 	fmt.Fprintf(os.Stderr, "usage: punica-bench [flags] <experiment>\nexperiments: %v\n",
 		allExperiments)
 	fmt.Fprintf(os.Stderr, "plus: scale (control-plane scale sweep; excluded from 'all' — the full grid runs 1M-request traces)\n")
-	fmt.Fprintf(os.Stderr, "plus: traffic (flash-crowd fairness sweep, gated by -traffic-baseline) and soak (hours-long everything-at-once run; -soak-horizon shortens it) — both excluded from 'all'\n")
-	fmt.Fprintf(os.Stderr, "plus: coldstart (tiered adapter-cache mitigation sweep, gated by -coldstart-baseline) — excluded from 'all'\n")
-	fmt.Fprintf(os.Stderr, "plus: overload (live-HTTP overload-protection sweep, gated by -overload-baseline) — excluded from 'all'\n")
+	fmt.Fprintf(os.Stderr, "plus: traffic (flash-crowd fairness sweep, gated by -baseline) and soak (hours-long everything-at-once run; -soak-horizon shortens it) — both excluded from 'all'\n")
+	fmt.Fprintf(os.Stderr, "plus: coldstart (tiered adapter-cache mitigation sweep, gated by -baseline) — excluded from 'all'\n")
+	fmt.Fprintf(os.Stderr, "plus: overload (live-HTTP overload-protection sweep, gated by -baseline) — excluded from 'all'\n")
 	flag.PrintDefaults()
 }
 

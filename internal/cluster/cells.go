@@ -273,7 +273,7 @@ func (m *MultiCluster) deliverSpill(dst *Cluster, r *core.Request, barrier time.
 			return
 		}
 		if g != nil {
-			dst.runnerOf(g).kick()
+			dst.runnerOf(g).drv.Kick()
 		}
 	})
 }

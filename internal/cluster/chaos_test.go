@@ -27,7 +27,7 @@ func resultDigest(c *Cluster, res *Result) string {
 		res.TimeToFirstToken.Summary(), res.EndToEnd.Summary(), res.RecoveryLatency.Summary())
 	for i, f := range res.GPUBusyFraction {
 		fmt.Fprintf(&b, "gpu%02d busy=%.6f batchPoints=%d crashed=%v\n",
-			i, f, res.BatchSeries[i].Len(), c.gpus[i].crashed)
+			i, f, res.BatchSeries[i].Len(), c.gpus[i].drv.Stopped())
 	}
 	return b.String()
 }
@@ -160,7 +160,7 @@ func TestFailGPUDirect(t *testing.T) {
 	if res.GPUFailures != 1 {
 		t.Fatalf("GPUFailures = %d, want 1", res.GPUFailures)
 	}
-	if c.gpus[1].crashed != true || c.gpus[0].crashed {
+	if !c.gpus[1].drv.Stopped() || c.gpus[0].drv.Stopped() {
 		t.Fatal("wrong GPU crashed")
 	}
 }

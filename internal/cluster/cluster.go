@@ -273,20 +273,36 @@ func (c *Cluster) noteToken(tok core.Token) {
 }
 
 type runner struct {
-	gpu           *sched.GPU
-	eng           *core.Engine
-	index         int
-	role          core.Role
-	stepInFlight  bool
-	wakeScheduled bool
-	cluster       *Cluster
+	gpu     *sched.GPU
+	eng     *core.Engine
+	drv     *core.Driver
+	index   int
+	role    core.Role
+	cluster *Cluster
 
-	// crashed marks a dead GPU (it never steps again); crashPending
-	// defers a crash that arrived mid-step to the invocation boundary.
+	// crashPending defers a crash that arrived mid-step to the
+	// invocation boundary; a crashed runner's driver is stopped.
 	// stalledUntil pauses stepping without losing state.
-	crashed      bool
 	crashPending *FaultEvent
 	stalledUntil time.Duration
+}
+
+// newRunner wires a GPU's engine to the cluster's clock through a
+// core.Driver whose hooks record metrics, re-place evictions, honour
+// stalls and crashes, and hand queued work to freed capacity.
+func (c *Cluster) newRunner(g *sched.GPU, eng *core.Engine, index int) *runner {
+	r := &runner{gpu: g, eng: eng, index: index, role: g.Role, cluster: c}
+	r.drv = core.NewDriver(eng, c.clock, core.DriverHooks{
+		Paused:  func(now time.Duration) bool { return now < r.stalledUntil },
+		Evicted: r.handleEvicted,
+		Started: func(res core.StepResult, now time.Duration) {
+			c.res.BatchSeries[index].Add(now, float64(res.BatchSize))
+		},
+		Completed: r.complete,
+	})
+	c.gpus = append(c.gpus, r)
+	c.byGPU[g] = r
+	return r
 }
 
 // New builds a cluster of cfg.NumGPUs engines. UUIDs are "gpu-00",
@@ -327,9 +343,7 @@ func New(cfg Config) *Cluster {
 		eng := core.NewEngine(ec)
 		g := &sched.GPU{UUID: fmt.Sprintf("gpu-%02d", i), Engine: eng, Role: ec.Role}
 		gpus = append(gpus, g)
-		r := &runner{gpu: g, eng: eng, index: i, role: ec.Role, cluster: c}
-		c.gpus = append(c.gpus, r)
-		c.byGPU[g] = r
+		c.newRunner(g, eng, i)
 	}
 	policy, err := sched.PolicyByName(cfg.Policy, sched.PolicyConfig{
 		Base:        cfg.Engine.Model,
@@ -397,7 +411,7 @@ func (c *Cluster) start(reqs []workload.Request) {
 				return
 			}
 			if g != nil {
-				c.runnerOf(g).kick()
+				c.runnerOf(g).drv.Kick()
 			}
 		})
 	}
@@ -505,7 +519,7 @@ func (c *Cluster) runnerOf(g *sched.GPU) *runner {
 
 func (c *Cluster) anyBusy() bool {
 	for _, r := range c.gpus {
-		if r.eng.Busy() || r.stepInFlight {
+		if r.eng.Busy() || r.drv.InFlight() {
 			return true
 		}
 	}
@@ -516,15 +530,15 @@ func (c *Cluster) migrationTick() {
 	moved := c.sched.Consolidate(c.clock.Now())
 	if moved > 0 {
 		for _, r := range c.gpus {
-			if r.crashed {
+			if r.drv.Stopped() {
 				continue
 			}
 			// A drained GPU goes idle: record the zero so the batch
 			// series reflects the consolidation.
-			if !r.eng.Busy() && !r.stepInFlight {
+			if !r.eng.Busy() && !r.drv.InFlight() {
 				c.res.BatchSeries[r.index].Add(c.clock.Now(), 0)
 			}
-			r.kick()
+			r.drv.Kick()
 		}
 	}
 	if c.arrivalsLeft > 0 || c.anyBusy() || c.sched.QueueLen() > 0 {
@@ -532,68 +546,11 @@ func (c *Cluster) migrationTick() {
 	}
 }
 
-// kick starts a step on the runner's engine if one is not already in
-// flight. GPUs run "batches on a GPU back-to-back" (§8). Crashed
-// runners never step again; stalled runners resume at the wake the
-// stall scheduled.
-func (r *runner) kick() {
-	if r.stepInFlight || r.crashed {
-		return
-	}
-	e := r.eng
-	if !e.Busy() {
-		return
-	}
-	now := r.cluster.clock.Now()
-	if now < r.stalledUntil {
-		return // stallGPU scheduled a kick at stall end
-	}
-	res := e.Step(now)
-	if res.Idle {
-		// An idle step can still evict (KV pressure can drain the whole
-		// batch): handleEvicted copies the scratch-backed slice before
-		// dispatching, and a reschedule cascade may have already started
-		// this GPU's next step — in which case the in-flight invocation
-		// owns the engine and this frame must not touch it further.
-		r.handleEvicted(res.Evicted)
-		if r.stepInFlight {
-			return
-		}
-		if wake, ok := e.EarliestPendingReady(); ok && wake > now {
-			if !r.wakeScheduled {
-				r.wakeScheduled = true
-				r.cluster.clock.Schedule(wake, func() {
-					r.wakeScheduled = false
-					r.kick()
-				})
-			}
-			return
-		}
-		if e.Busy() {
-			panic("cluster: engine idle with work but no wake-up time")
-		}
-		return
-	}
-	// Mark the step in flight BEFORE rescheduling evictions: a reschedule
-	// can cascade through other runners' steps and land new work back on
-	// this GPU, and the cascaded kick must not re-enter Step while
-	// res.Evicted — which aliases this engine's reusable scratch — is
-	// still being iterated. The in-flight flag makes the cascaded kick a
-	// no-op; complete() kicks again when this invocation ends.
-	r.stepInFlight = true
-	r.handleEvicted(res.Evicted)
-	r.cluster.res.BatchSeries[r.index].Add(now, float64(res.BatchSize))
-	r.cluster.clock.Schedule(res.EndsAt, func() { r.complete(res) }) //punica:retains-copy stepInFlight blocks re-entry into Step until complete() runs
-}
-
-// complete finishes a step: records metrics, re-schedules evictions,
-// drains the global queue into freed capacity, and immediately starts the
-// next step.
-func (r *runner) complete(res core.StepResult) {
+// complete finishes a step: records metrics, hands finished prefills
+// to the decode pool, and drains the global queue into freed capacity.
+// The driver then starts the next step.
+func (r *runner) complete(res core.StepResult, now time.Duration) {
 	c := r.cluster
-	now := c.clock.Now()
-	r.stepInFlight = false
-
 	c.res.ProcessedSeries.Add(now, float64(res.TokensGenerated+res.PrefillTokens))
 	for _, f := range res.Finished {
 		if f.FinishedAt > c.res.Makespan {
@@ -636,7 +593,7 @@ func (r *runner) complete(res core.StepResult) {
 			return
 		}
 		for _, d := range dsts {
-			c.runnerOf(d).kick()
+			c.runnerOf(d).drv.Kick()
 		}
 		if len(dsts) > 0 {
 			// Handoffs freed prefill capacity: the queue may advance.
@@ -659,21 +616,12 @@ func (r *runner) complete(res core.StepResult) {
 	if !r.eng.Busy() {
 		c.res.BatchSeries[r.index].Add(now, 0)
 	}
-	r.kick()
 }
 
-func (r *runner) handleEvicted(evicted []*core.Request) {
-	if len(evicted) == 0 {
-		return
-	}
-	// The slice aliases the engine's reusable eviction scratch, and
-	// rescheduling can cascade through other runners' steps back into a
-	// Step on this engine (which rewrites that scratch). Dispatch from a
-	// private copy; evictions are rare, so the allocation is off the hot
-	// path.
-	evicted = append([]*core.Request(nil), evicted...)
+// handleEvicted re-places requests a step evicted, through the
+// scheduler, possibly onto another GPU.
+func (r *runner) handleEvicted(evicted []*core.Request, now time.Duration) {
 	c := r.cluster
-	now := c.clock.Now()
 	for _, ev := range evicted {
 		g, err := c.sched.Reschedule(ev, r.gpu, now)
 		if err != nil {
@@ -681,7 +629,7 @@ func (r *runner) handleEvicted(evicted []*core.Request) {
 			return
 		}
 		if g != nil {
-			c.runnerOf(g).kick()
+			c.runnerOf(g).drv.Kick()
 		}
 	}
 }

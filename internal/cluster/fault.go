@@ -181,7 +181,7 @@ func (c *Cluster) aliveOnline() []*runner {
 	var out []*runner
 	for _, g := range c.sched.GPUs() {
 		r := c.runnerOf(g)
-		if !r.crashed {
+		if !r.drv.Stopped() {
 			out = append(out, r)
 		}
 	}
@@ -192,7 +192,7 @@ func (c *Cluster) aliveOnline() []*runner {
 // completes (its results were already committed at step granularity);
 // no new step starts before the stall ends.
 func (c *Cluster) stallGPU(r *runner, d time.Duration) {
-	if r.crashed || d <= 0 {
+	if r.drv.Stopped() || d <= 0 {
 		return
 	}
 	until := c.clock.Now() + d
@@ -201,7 +201,7 @@ func (c *Cluster) stallGPU(r *runner, d time.Duration) {
 	}
 	r.stalledUntil = until
 	c.res.GPUStalls++
-	c.clock.Schedule(until, r.kick)
+	c.clock.Schedule(until, r.drv.Kick)
 }
 
 // crashGPU kills a runner. The failure takes effect at the next
@@ -213,10 +213,10 @@ func (c *Cluster) stallGPU(r *runner, d time.Duration) {
 // accounting, and is re-dispatched FCFS through the scheduler for
 // prefill recomputation, mirroring the §5.3 eviction path.
 func (c *Cluster) crashGPU(r *runner, ev FaultEvent) {
-	if r.crashed {
+	if r.drv.Stopped() {
 		return
 	}
-	if r.stepInFlight {
+	if r.drv.InFlight() {
 		if r.crashPending == nil {
 			r.crashPending = &ev
 		}
@@ -227,7 +227,7 @@ func (c *Cluster) crashGPU(r *runner, ev FaultEvent) {
 
 func (c *Cluster) doCrash(r *runner, ev FaultEvent) {
 	now := c.clock.Now()
-	r.crashed = true
+	r.drv.Stop()
 	r.stalledUntil = 0
 	c.res.GPUFailures++
 	// Forced removal salvages the working set through the engine's
@@ -252,7 +252,7 @@ func (c *Cluster) doCrash(r *runner, ev FaultEvent) {
 		}
 		if g != nil {
 			c.noteRecovered(req.ID)
-			c.runnerOf(g).kick()
+			c.runnerOf(g).drv.Kick()
 		}
 	}
 	if ev.Kind == FaultCrashReplace {
@@ -279,9 +279,7 @@ func (c *Cluster) attachReplacement(role core.Role) {
 	eng := core.NewEngine(ec)
 	idx := len(c.gpus)
 	g := &sched.GPU{UUID: fmt.Sprintf("gpu-%02d", idx), Engine: eng, Role: role}
-	r := &runner{gpu: g, eng: eng, index: idx, role: role, cluster: c}
-	c.gpus = append(c.gpus, r)
-	c.byGPU[g] = r
+	r := c.newRunner(g, eng, idx)
 	c.res.BatchSeries = append(c.res.BatchSeries, metrics.TimeSeries{})
 	c.res.GPUReplacements++
 	c.sched.AddGPU(g)
@@ -302,7 +300,7 @@ func (c *Cluster) attachReplacement(role core.Role) {
 func (c *Cluster) notePlacements(placed []sched.Placement) {
 	for _, p := range placed {
 		c.noteRecovered(p.Request.ID)
-		c.runnerOf(p.GPU).kick()
+		c.runnerOf(p.GPU).drv.Kick()
 	}
 }
 

@@ -128,7 +128,7 @@ func (c *Cluster) predistTick() {
 			break
 		}
 		for _, r := range c.gpus {
-			if r.crashed {
+			if r.drv.Stopped() {
 				continue
 			}
 			moved := r.eng.PrewarmAdapter(id, now)

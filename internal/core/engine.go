@@ -22,9 +22,9 @@ var ErrRoleMismatch = errors.New("core: decode-role engine accepts only KV impor
 
 // Engine is one serving instance: a GPU (or tensor-parallel GPU group)
 // running continuous batches of an LLM with LoRA adapters. It owns the
-// device's KvCache pool, adapter store, and FCFS request queue; a driver
-// (the cluster simulator, the HTTP runner, or a benchmark harness) calls
-// Step repeatedly, advancing simulated time by each returned latency —
+// device's KvCache pool, adapter store, and FCFS request queue; a
+// Driver (or a benchmark harness) calls Step repeatedly, advancing
+// simulated time by each returned latency —
 // "GPU runs the Prefill steps and Decode steps continuously" (§5).
 type Engine struct {
 	cfg   Config
@@ -579,9 +579,8 @@ func (e *Engine) ensureDecodeCapacity(now time.Duration) []*Request {
 // applies all effects (token emission, KvCache growth, completion).
 //
 // The returned StepResult's Finished and Evicted slices alias buffers
-// the engine reuses: they are valid until the next call to Step. Every
-// existing driver (cluster runner, HTTP runner, serve loop) consumes
-// them before stepping the same engine again.
+// the engine reuses: they are valid until the next call to Step. Driver
+// consumes them before stepping the same engine again.
 //
 //punica:zeroalloc steady-state stepping must not allocate (see BenchmarkStepAllocs)
 func (e *Engine) Step(now time.Duration) StepResult {

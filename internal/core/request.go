@@ -51,15 +51,6 @@ type Request struct {
 // the original prompt plus everything generated.
 func (r *Request) ContextLen() int { return r.PromptLen + r.Generated }
 
-// Remaining returns how many tokens are still to be generated.
-func (r *Request) Remaining() int {
-	rem := r.OutputLen - r.Generated
-	if rem < 0 {
-		return 0
-	}
-	return rem
-}
-
 // Finished reports whether the request has produced all its tokens.
 func (r *Request) Finished() bool { return r.Generated >= r.OutputLen }
 

@@ -13,7 +13,6 @@ import (
 	"punica/internal/core"
 	"punica/internal/dist"
 	"punica/internal/hw"
-	"punica/internal/metrics"
 	"punica/internal/models"
 	"punica/internal/sched"
 	"punica/internal/workload"
@@ -188,18 +187,6 @@ func policyLabel(name string) string {
 		return "paper"
 	}
 	return name
-}
-
-// MergedRecoveryLatency folds per-cell recovery histograms into one
-// distribution — a convenience for summarising a sweep.
-func MergedRecoveryLatency(results []*cluster.Result) metrics.Histogram {
-	var h metrics.Histogram
-	for _, r := range results {
-		if r != nil {
-			h.Merge(&r.RecoveryLatency)
-		}
-	}
-	return h
 }
 
 // FormatFaults renders the sweep as a table.

@@ -45,9 +45,9 @@ type OverloadOptions struct {
 	MaxBatch int
 	// Speedup converts simulated latency to wall pacing for the serving
 	// runs (default 50). Higher is faster wall time, but past ~100 the
-	// per-step pacing sleeps shrink toward the OS timer granularity and
+	// per-step pacing timers shrink toward the OS timer granularity and
 	// the live stack falls behind the calibrated capacity — the sweep
-	// would then measure sleep quantization, not overload behaviour.
+	// would then measure timer quantization, not overload behaviour.
 	// Latencies are measured on the server's simulated clock, so the
 	// reported numbers are otherwise speedup-independent.
 	Speedup float64

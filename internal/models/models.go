@@ -172,9 +172,6 @@ func (c Config) Params() int64 {
 	return c.LayerParams()*int64(c.Layers) + 2*embed
 }
 
-// WeightBytes returns the fp16 footprint of the full model on one GPU.
-func (c Config) WeightBytes() int64 { return c.Params() * hw.FP16Bytes }
-
 // KVBytesPerToken returns the fp16 KvCache bytes one token appends across
 // all layers: 2 (K and V) × Layers × KVDim × 2 bytes. For Llama-2 7B this
 // is the well-known 512 KiB/token.

@@ -71,13 +71,14 @@ func TestClientProbe(t *testing.T) {
 // delivered — instead of erroring the run.
 func TestFrontendSurvivesRunnerDeath(t *testing.T) {
 	// Slow enough (low speedup) that generation is running when the
-	// runner dies.
+	// runner dies: the modelled generation takes ~2.4s simulated,
+	// ~240ms wall.
 	cfgA := runnerConfig()
-	rA := NewRunner("rA", cfgA, 50)
+	rA := NewRunner("rA", cfgA, 10)
 	srvA := httptest.NewServer(rA.Handler())
 	t.Cleanup(func() { srvA.Close(); rA.Close() })
 	cfgB := runnerConfig()
-	rB := NewRunner("rB", cfgB, 50)
+	rB := NewRunner("rB", cfgB, 10)
 	srvB := httptest.NewServer(rB.Handler())
 	// srvB is killed mid-test; Close is idempotent.
 	t.Cleanup(srvB.Close)

@@ -113,21 +113,9 @@ type Frontend struct {
 	roleKnown map[*sched.GPU]bool
 }
 
-// NewFrontend builds a frontend over runner base URLs with the paper's
-// §5.1 placement policy and health checking disabled.
-func NewFrontend(runnerURLs []string, drainInterval time.Duration) *Frontend {
-	return NewFrontendWithOptions(runnerURLs, FrontendOptions{DrainInterval: drainInterval})
-}
-
-// NewFrontendWithPolicy is NewFrontend with an explicit placement
-// policy (nil means the paper's). Policies rank runners on the batched
-// snapshot each one serves over GET /runner/state.
-func NewFrontendWithPolicy(runnerURLs []string, drainInterval time.Duration, p sched.Policy) *Frontend {
-	return NewFrontendWithOptions(runnerURLs, FrontendOptions{DrainInterval: drainInterval, Policy: p})
-}
-
-// NewFrontendWithOptions builds a frontend with full control, including
-// the health-checking fault-tolerance loop.
+// NewFrontendWithOptions builds a frontend over runner base URLs. The
+// zero FrontendOptions selects the paper's §5.1 placement policy with
+// health checking disabled.
 func NewFrontendWithOptions(runnerURLs []string, opts FrontendOptions) *Frontend {
 	opts = opts.withDefaults()
 	f := &Frontend{

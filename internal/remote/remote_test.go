@@ -182,7 +182,7 @@ func TestClientDegradesSafely(t *testing.T) {
 func TestFrontendEndToEnd(t *testing.T) {
 	_, srvA := startRunner(t, "rA", 0)
 	_, srvB := startRunner(t, "rB", 0)
-	f := NewFrontend([]string{srvA.URL, srvB.URL}, 10*time.Millisecond)
+	f := NewFrontendWithOptions([]string{srvA.URL, srvB.URL}, FrontendOptions{DrainInterval: 10 * time.Millisecond})
 	defer f.Close()
 	front := httptest.NewServer(f.Handler())
 	defer front.Close()
@@ -244,7 +244,7 @@ func TestFrontendEndToEnd(t *testing.T) {
 
 func TestFrontendQueuesWhenSaturated(t *testing.T) {
 	_, srv := startRunner(t, "rQ", 1) // batch cap 1
-	f := NewFrontend([]string{srv.URL}, 5*time.Millisecond)
+	f := NewFrontendWithOptions([]string{srv.URL}, FrontendOptions{DrainInterval: 5 * time.Millisecond})
 	defer f.Close()
 
 	// Two long-ish requests: the second must queue and then complete.
@@ -376,7 +376,7 @@ func TestRunnerLateStreamDrain(t *testing.T) {
 
 func TestFrontendStatsWithUnreachableRunner(t *testing.T) {
 	_, srv := startRunner(t, "rOK", 0)
-	f := NewFrontend([]string{srv.URL, "http://127.0.0.1:1"}, 10*time.Millisecond)
+	f := NewFrontendWithOptions([]string{srv.URL, "http://127.0.0.1:1"}, FrontendOptions{DrainInterval: 10 * time.Millisecond})
 	defer f.Close()
 	front := httptest.NewServer(f.Handler())
 	defer front.Close()
@@ -422,7 +422,7 @@ func TestFrontendStatsWithUnreachableRunner(t *testing.T) {
 
 func TestFrontendBadRequests(t *testing.T) {
 	_, srv := startRunner(t, "rB2", 0)
-	f := NewFrontend([]string{srv.URL}, 10*time.Millisecond)
+	f := NewFrontendWithOptions([]string{srv.URL}, FrontendOptions{DrainInterval: 10 * time.Millisecond})
 	defer f.Close()
 	front := httptest.NewServer(f.Handler())
 	defer front.Close()
@@ -443,5 +443,31 @@ func TestFrontendBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty prompt: status %d", resp.StatusCode)
+	}
+}
+
+// TestRunnerCloseStopsDriver closes a runner mid-generation: no step its
+// wall clock scheduled may run afterwards.
+func TestRunnerCloseStopsDriver(t *testing.T) {
+	r := NewRunner("gpu-00", runnerConfig(), 50) // ~0.3ms of wall time per decode step
+	steps := func() int64 {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return r.eng.Stats().Steps
+	}
+	r.mu.Lock()
+	if err := r.eng.Enqueue(&core.Request{ID: 1, Model: 1, PromptLen: 64, OutputLen: 1000}, r.clock.Now()); err != nil {
+		t.Fatal(err)
+	}
+	r.drv.Kick()
+	r.mu.Unlock()
+	for steps() < 3 {
+		time.Sleep(time.Millisecond)
+	}
+	r.Close()
+	before := steps()
+	time.Sleep(30 * time.Millisecond)
+	if got := steps(); got != before {
+		t.Fatalf("engine stepped %d more times after Close", got-before)
 	}
 }

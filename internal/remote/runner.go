@@ -15,14 +15,15 @@ import (
 
 	"punica/internal/core"
 	"punica/internal/lora"
+	"punica/internal/sim"
 )
 
-// Runner hosts one GPU engine behind the runner HTTP API. It paces
-// simulated invocation latencies in wall time (Speedup 1 = realistic)
-// and streams tokens per request.
+// Runner hosts one GPU engine behind the runner HTTP API. A core.Driver
+// steps the engine on a sim.WallClock that paces simulated invocation
+// latencies in wall time (speedup 1 = realistic), and tokens stream per
+// request.
 type Runner struct {
-	uuid    string
-	speedup float64
+	uuid string
 	// bootID is a per-process nonce mixed into the /runner/state ETag:
 	// a restarted runner's engine recounts versions from zero, and
 	// without the nonce a client that cached "v42" from the previous
@@ -35,20 +36,19 @@ type Runner struct {
 	idem *idemTable
 
 	mu      sync.Mutex
-	cond    *sync.Cond
+	clock   *sim.WallClock
 	eng     *core.Engine
+	drv     *core.Driver
 	streams map[int64]chan core.Token
 	// streamDone marks channels already closed (finished or exported)
 	// but kept resident so a late or lagging reader can still drain the
 	// buffered tokens; guards against double close.
 	streamDone map[int64]bool
-	start      time.Time
 	closed     bool
-	wg         sync.WaitGroup
 	// lastFinishAt/finishGap track the EWMA inter-finish gap (sim
-	// seconds): the drain-rate estimate behind Retry-After on 503s.
+	// time): the drain-rate estimate behind Retry-After on 503s.
 	lastFinishAt time.Duration
-	finishGap    float64
+	finishGap    time.Duration
 }
 
 // BootEntropy fills b with the randomness behind the per-process boot
@@ -73,37 +73,45 @@ func NewRunner(uuid string, cfg core.Config, speedup float64) *Runner {
 	BootEntropy(nonce[:])
 	r := &Runner{
 		uuid:       uuid,
-		speedup:    speedup,
 		bootID:     hex.EncodeToString(nonce[:]),
 		idem:       newIdemTable(idemTableCapacity),
 		streams:    make(map[int64]chan core.Token),
 		streamDone: make(map[int64]bool),
-		start:      time.Now(),
 	}
-	r.cond = sync.NewCond(&r.mu)
+	r.clock = sim.NewWallClock(speedup, &r.mu)
 	cfg.OnToken = r.onToken
 	cfg.OnFinish = r.onFinish
 	r.eng = core.NewEngine(cfg)
-	r.wg.Add(1)
-	go r.drive()
+	// Requests evicted under memory pressure are re-enqueued locally
+	// (the scheduler can additionally migrate via /runner/evict).
+	r.drv = core.NewDriver(r.eng, r.clock, core.DriverHooks{
+		Evicted: func(evicted []*core.Request, now time.Duration) {
+			for _, ev := range evicted {
+				if err := r.eng.Enqueue(ev, now); err != nil {
+					r.dropStream(ev.ID)
+				}
+			}
+			r.drv.Kick()
+		},
+	})
 	return r
 }
 
 // UUID returns the runner's identity.
 func (r *Runner) UUID() string { return r.uuid }
 
-// Close stops the driver and closes open streams.
+// Close stops the driver and closes open streams. Nothing the runner's
+// clock scheduled runs afterwards.
 func (r *Runner) Close() {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.closed = true
+	r.clock.Stop()
 	for id := range r.streams {
 		r.closeStream(id)
 		delete(r.streams, id)
 		delete(r.streamDone, id)
 	}
-	r.cond.Broadcast()
-	r.mu.Unlock()
-	r.wg.Wait()
 }
 
 // closeStream closes a stream channel exactly once, keeping the entry
@@ -113,10 +121,6 @@ func (r *Runner) closeStream(id int64) {
 		close(ch)
 		r.streamDone[id] = true
 	}
-}
-
-func (r *Runner) simNow() time.Duration {
-	return time.Duration(float64(time.Since(r.start)) * r.speedup)
 }
 
 func (r *Runner) onToken(tok core.Token) {
@@ -135,83 +139,34 @@ func (r *Runner) onToken(tok core.Token) {
 // Retry-After on 503 refusals. Runs with r.mu held (engine callback).
 func (r *Runner) onFinish(req *core.Request) {
 	r.closeStream(req.ID)
-	now := r.simNow()
+	now := r.clock.Now()
 	if r.lastFinishAt > 0 {
-		if gap := (now - r.lastFinishAt).Seconds(); gap > 0 {
+		if gap := now - r.lastFinishAt; gap > 0 {
 			const alpha = 0.2
 			if r.finishGap == 0 {
 				r.finishGap = gap
 			} else {
-				r.finishGap = (1-alpha)*r.finishGap + alpha*gap
+				r.finishGap = time.Duration((1-alpha)*float64(r.finishGap) + alpha*float64(gap))
 			}
 		}
 	}
 	r.lastFinishAt = now
 }
 
-// retryAfterSecs converts the EWMA inter-finish gap to wall seconds —
-// "one batch slot should free up in about this long" — clamped to
-// [1, 30]. Callers hold r.mu.
-func (r *Runner) retryAfterSecs() int {
-	if r.finishGap <= 0 {
-		return 1
+// refuse answers a failed enqueue or KV import. Adapter-store
+// backpressure is transient: 503, so the remote scheduler requeues
+// instead of failing the request, with a Retry-After for clients that
+// back off — the EWMA inter-finish gap ("one batch slot should free up
+// in about this long") in wall seconds, clamped to [1, 30]. Anything
+// else is 409. Callers hold r.mu.
+func (r *Runner) refuse(w http.ResponseWriter, err error) {
+	status := http.StatusConflict
+	if errors.Is(err, lora.ErrStoreFull) {
+		status = http.StatusServiceUnavailable
+		secs := min(max(int(math.Ceil(r.clock.Wall(r.finishGap).Seconds())), 1), 30)
+		w.Header().Set("Retry-After", strconv.Itoa(secs))
 	}
-	secs := int(math.Ceil(r.finishGap / r.speedup))
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > 30 {
-		secs = 30
-	}
-	return secs
-}
-
-// drive runs invocations back-to-back, pacing simulated latency into
-// wall time. Requests evicted under memory pressure are re-enqueued
-// locally (the scheduler can additionally migrate via /runner/evict).
-func (r *Runner) drive() {
-	defer r.wg.Done()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for !r.closed {
-		if !r.eng.Busy() {
-			r.cond.Wait()
-			continue
-		}
-		now := r.simNow()
-		res := r.eng.Step(now)
-		for _, ev := range res.Evicted {
-			if err := r.eng.Enqueue(ev, now); err != nil {
-				r.dropStream(ev.ID)
-			}
-		}
-		if res.Idle {
-			wake, ok := r.eng.EarliestPendingReady()
-			if !ok {
-				r.cond.Wait()
-				continue
-			}
-			r.sleepLocked(r.wallDelay(wake - now))
-			continue
-		}
-		r.sleepLocked(r.wallDelay(res.Latency))
-	}
-}
-
-func (r *Runner) wallDelay(d time.Duration) time.Duration {
-	w := time.Duration(float64(d) / r.speedup)
-	if w < 0 {
-		return 0
-	}
-	return w
-}
-
-func (r *Runner) sleepLocked(d time.Duration) {
-	r.mu.Unlock()
-	if d > 0 {
-		time.Sleep(d)
-	}
-	r.mu.Lock()
+	http.Error(w, err.Error(), status)
 }
 
 func (r *Runner) dropStream(id int64) {
@@ -256,20 +211,12 @@ func (r *Runner) handleEnqueue(w http.ResponseWriter, req *http.Request) {
 	if _, ok := r.streams[cr.ID]; !ok {
 		r.streams[cr.ID] = make(chan core.Token, cr.OutputLen+1)
 	}
-	if err := r.eng.Enqueue(cr, r.simNow()); err != nil {
+	if err := r.eng.Enqueue(cr, r.clock.Now()); err != nil {
 		r.dropStream(cr.ID)
-		// Adapter-store backpressure is transient: report 503 so the
-		// remote scheduler requeues instead of failing the request, with
-		// a drain-rate-derived Retry-After for clients that back off.
-		status := http.StatusConflict
-		if errors.Is(err, lora.ErrStoreFull) {
-			status = http.StatusServiceUnavailable
-			w.Header().Set("Retry-After", strconv.Itoa(r.retryAfterSecs()))
-		}
-		http.Error(w, err.Error(), status)
+		r.refuse(w, err)
 		return
 	}
-	r.cond.Broadcast()
+	r.drv.Kick()
 	w.WriteHeader(http.StatusOK)
 }
 
@@ -296,7 +243,7 @@ func (r *Runner) handleCancel(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	r.mu.Lock()
-	cr := r.eng.Cancel(c.ID, r.simNow())
+	cr := r.eng.Cancel(c.ID, r.clock.Now())
 	r.dropStream(c.ID)
 	r.mu.Unlock()
 	reply := CancelReply{Found: cr != nil}
@@ -309,7 +256,7 @@ func (r *Runner) handleCancel(w http.ResponseWriter, req *http.Request) {
 
 func (r *Runner) handleEvict(w http.ResponseWriter, _ *http.Request) {
 	r.mu.Lock()
-	cr := r.eng.EvictNewest(r.simNow())
+	cr := r.eng.EvictNewest(r.clock.Now())
 	if cr != nil {
 		r.dropStream(cr.ID)
 	}
@@ -329,11 +276,10 @@ func (r *Runner) handleEvict(w http.ResponseWriter, _ *http.Request) {
 // from a runner it is about to declare failed.
 func (r *Runner) handleDrain(w http.ResponseWriter, _ *http.Request) {
 	r.mu.Lock()
-	lost, lostKV := r.eng.Crash(r.simNow())
+	lost, lostKV := r.eng.Crash(r.clock.Now())
 	for _, req := range lost {
 		r.dropStream(req.ID)
 	}
-	r.cond.Broadcast()
 	r.mu.Unlock()
 	reply := DrainReply{LostKVTokens: lostKV}
 	for _, req := range lost {
@@ -377,7 +323,7 @@ func (r *Runner) handleKVExport(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	r.mu.Lock()
-	h, err := r.eng.ExportKV(er.ID, r.simNow())
+	h, err := r.eng.ExportKV(er.ID, r.clock.Now())
 	if err == nil {
 		// Close-but-keep, like onFinish: buffered tokens stay drainable.
 		r.closeStream(er.ID)
@@ -414,14 +360,9 @@ func (r *Runner) handleKVImport(w http.ResponseWriter, req *http.Request) {
 		r.streams[id] = make(chan core.Token, h.Request.OutputLen+1)
 		delete(r.streamDone, id)
 	}
-	if err := r.eng.ImportKV(h, r.simNow()); err != nil {
+	if err := r.eng.ImportKV(h, r.clock.Now()); err != nil {
 		r.dropStream(id)
-		status := http.StatusConflict
-		if errors.Is(err, lora.ErrStoreFull) {
-			status = http.StatusServiceUnavailable
-			w.Header().Set("Retry-After", strconv.Itoa(r.retryAfterSecs()))
-		}
-		http.Error(w, err.Error(), status)
+		r.refuse(w, err)
 		return
 	}
 	// Seed the stream with the tokens the exporting runner already
@@ -437,7 +378,7 @@ func (r *Runner) handleKVImport(w http.ResponseWriter, req *http.Request) {
 			TokenID:   core.TokenIDFor(id, i, vocab),
 		})
 	}
-	r.cond.Broadcast()
+	r.drv.Kick()
 	w.WriteHeader(http.StatusOK)
 }
 
@@ -450,7 +391,7 @@ func (r *Runner) handlePrefetch(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	r.mu.Lock()
-	ok := r.eng.PrefetchAdapter(lora.ModelID(pr.Model), r.simNow())
+	ok := r.eng.PrefetchAdapter(lora.ModelID(pr.Model), r.clock.Now())
 	r.mu.Unlock()
 	writeJSON(w, PrefetchReply{Accepted: ok})
 }

@@ -216,15 +216,6 @@ func NewWithPolicy(gpus []*GPU, p Policy) *Scheduler {
 // Policy returns the active placement policy.
 func (s *Scheduler) Policy() Policy { return s.policy }
 
-// SetPolicy swaps the placement policy (nil restores PaperPolicy).
-// In-flight placements are unaffected; the queue and stats carry over.
-func (s *Scheduler) SetPolicy(p Policy) {
-	if p == nil {
-		p = PaperPolicy{}
-	}
-	s.policy = p
-}
-
 // GPUs returns the managed GPUs.
 func (s *Scheduler) GPUs() []*GPU { return s.gpus }
 

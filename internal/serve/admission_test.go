@@ -33,7 +33,9 @@ func admissionServer(t *testing.T, adm sched.AdmissionConfig, fairness bool) *Se
 			Model:  models.Llama2_7B(),
 			Rank:   models.DefaultLoRARank,
 		},
-		Speedup:   5000,
+		// A 4096-token request holds its slot for >50ms of wall time,
+		// long enough for a test to queue more requests behind it.
+		Speedup:   1000,
 		Fairness:  fairness,
 		Admission: adm,
 	})

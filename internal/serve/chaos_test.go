@@ -23,7 +23,9 @@ func TestServerSurvivesGPUFailure(t *testing.T) {
 			Model:  models.Llama2_7B(),
 			Rank:   models.DefaultLoRARank,
 		},
-		Speedup: 2000,
+		// Slow enough that the modelled generation (~4.5s simulated,
+		// ~90ms wall) is still running when the GPU dies.
+		Speedup: 50,
 	})
 	defer s.Close()
 

@@ -287,16 +287,7 @@ func TestEstimateTokens(t *testing.T) {
 }
 
 func TestServerCloseIsClean(t *testing.T) {
-	s := New(Config{
-		NumGPUs: 1,
-		Engine: core.Config{
-			System: core.PunicaSystem(),
-			GPU:    hw.A100(),
-			Model:  models.Llama2_7B(),
-			Rank:   models.DefaultLoRARank,
-		},
-		Speedup: 5000,
-	})
+	s := testServer(t, 1)
 	_, stream, err := s.Submit(1, 32, 1000)
 	if err != nil {
 		t.Fatal(err)
@@ -307,5 +298,11 @@ func TestServerCloseIsClean(t *testing.T) {
 	}
 	if _, _, err := s.Submit(1, 32, 10); err == nil {
 		t.Fatal("submit after close should fail")
+	}
+	// Nothing the wall clock scheduled runs after Close.
+	steps := s.Snapshot().GPUs[0].Steps
+	time.Sleep(30 * time.Millisecond)
+	if got := s.Snapshot().GPUs[0].Steps; got != steps {
+		t.Fatalf("engine stepped %d more times after Close", got-steps)
 	}
 }

@@ -3,12 +3,12 @@
 // and generated tokens stream back to the client as they are produced.
 //
 // Substitution note (DESIGN.md): the paper implements the scheduler,
-// frontend and runner in Rust with WebSockets; here they are Go
-// goroutines around the same engine and scheduler logic, with chunked
-// NDJSON streaming. GPU time is simulated: each invocation's modelled
-// latency is converted to wall time through a configurable speedup
-// factor, so the demo serves tokens at a realistic (or accelerated)
-// cadence without hardware.
+// frontend and runner in Rust with WebSockets; here one core.Driver per
+// GPU steps the same engine and scheduler logic the simulator runs, with
+// chunked NDJSON streaming. GPU time is simulated: the drivers run on a
+// sim.WallClock that completes each invocation at its modelled end time
+// scaled by a configurable speedup factor, so the server streams tokens
+// at a realistic (or accelerated) cadence without hardware.
 package serve
 
 import (
@@ -20,6 +20,7 @@ import (
 	"punica/internal/lora"
 	"punica/internal/metrics"
 	"punica/internal/sched"
+	"punica/internal/sim"
 )
 
 // Config assembles a serving deployment.
@@ -67,16 +68,13 @@ type Config struct {
 // Server runs the scheduler and GPU drivers and routes token streams.
 type Server struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
+	clock   *sim.WallClock
 	sch     *sched.Scheduler
 	gpus    []*sched.GPU
-	engines map[*sched.GPU]*core.Engine
+	drivers map[*sched.GPU]*core.Driver
 	streams map[int64]chan core.Token
 	nextID  int64
-	start   time.Time
-	speedup float64
 	closed  bool
-	wg      sync.WaitGroup
 
 	// Fault accounting (FailGPU).
 	failures  int64
@@ -92,7 +90,7 @@ type Server struct {
 	rejected429 int64
 }
 
-// New builds and starts a server: one driver goroutine per GPU. With
+// New builds and starts a server: one driver per GPU. With
 // PrefillGPUs/DecodeGPUs set, the first engines form the prefill pool
 // and the rest the decode pool; finished prefills migrate between them
 // at step boundaries by moving their KvCache.
@@ -108,13 +106,11 @@ func New(cfg Config) *Server {
 		cfg.Speedup = 100
 	}
 	s := &Server{
-		engines: make(map[*sched.GPU]*core.Engine),
+		drivers: make(map[*sched.GPU]*core.Driver),
 		streams: make(map[int64]chan core.Token),
 		shed:    make(map[int64]bool),
-		start:   time.Now(),
-		speedup: cfg.Speedup,
 	}
-	s.cond = sync.NewCond(&s.mu)
+	s.clock = sim.NewWallClock(cfg.Speedup, &s.mu)
 	for i := 0; i < cfg.NumGPUs; i++ {
 		ec := cfg.Engine
 		ec.OnToken = s.onToken
@@ -129,7 +125,7 @@ func New(cfg Config) *Server {
 		}
 		eng := core.NewEngine(ec)
 		g := &sched.GPU{UUID: fmt.Sprintf("gpu-%02d", i), Engine: eng, Role: ec.Role}
-		s.engines[g] = eng
+		s.drivers[g] = s.newDriver(g, eng)
 		s.gpus = append(s.gpus, g)
 	}
 	policy, err := sched.PolicyByName(cfg.Policy, sched.PolicyConfig{
@@ -144,25 +140,53 @@ func New(cfg Config) *Server {
 	s.sch.SetFairness(cfg.Fairness)
 	s.sch.SetAdmission(cfg.Admission)
 	s.sch.OnShed = s.onShed
-	for _, g := range s.gpus {
-		s.wg.Add(1)
-		go s.drive(g)
-	}
 	return s
 }
 
-// simNow converts elapsed wall time into simulation time.
-func (s *Server) simNow() time.Duration {
-	return time.Duration(float64(time.Since(s.start)) * s.speedup)
+// newDriver steps one GPU's engine on the server's wall clock. Evicted
+// requests are re-placed through the scheduler; at each step boundary a
+// prefill-pool GPU hands its finished prefills to the decode pool
+// (KvCache moved, not recomputed — the in-process token streams carry
+// over untouched, indices simply continue on the new engine), and freed
+// capacity drains the queue. Every GPU that receives work is kicked.
+func (s *Server) newDriver(g *sched.GPU, eng *core.Engine) *core.Driver {
+	return core.NewDriver(eng, s.clock, core.DriverHooks{
+		Evicted: func(evicted []*core.Request, now time.Duration) {
+			for _, ev := range evicted {
+				dst, err := s.sch.Reschedule(ev, g, now)
+				if err != nil {
+					s.closeStream(ev.ID)
+				} else if dst != nil {
+					s.drivers[dst].Kick()
+				}
+			}
+		},
+		Completed: func(res core.StepResult, now time.Duration) {
+			var dsts []*sched.GPU
+			if g.Role == core.RolePrefill {
+				// An error leaves the remaining prefills on g.
+				dsts, _ = s.sch.MigratePrefilled(g, now)
+			}
+			for _, d := range dsts {
+				s.drivers[d].Kick()
+			}
+			if len(dsts) > 0 || len(res.Finished) > 0 || len(res.Evicted) > 0 {
+				s.drainQueue(now)
+			}
+		},
+	})
 }
 
-// wallDelay converts a simulated duration into wall time.
-func (s *Server) wallDelay(d time.Duration) time.Duration {
-	w := time.Duration(float64(d) / s.speedup)
-	if w < 0 {
-		return 0
+// drainQueue offers queued requests to freed capacity and kicks the
+// GPUs that received them.
+func (s *Server) drainQueue(now time.Duration) {
+	placed, err := s.sch.DrainQueue(now)
+	if err != nil {
+		return
 	}
-	return w
+	for _, p := range placed {
+		s.drivers[p.GPU].Kick()
+	}
 }
 
 // onToken runs inside Engine.Step with s.mu held.
@@ -176,12 +200,7 @@ func (s *Server) onToken(tok core.Token) {
 }
 
 // onFinish runs inside Engine.Step with s.mu held.
-func (s *Server) onFinish(r *core.Request) {
-	if ch, ok := s.streams[r.ID]; ok {
-		close(ch)
-		delete(s.streams, r.ID)
-	}
-}
+func (s *Server) onFinish(r *core.Request) { s.closeStream(r.ID) }
 
 // onShed runs inside Scheduler.Dispatch with s.mu held: the admission
 // layer dropped a queued request to admit a higher-priority arrival.
@@ -189,10 +208,7 @@ func (s *Server) onFinish(r *core.Request) {
 // WasShed to answer 429 instead of a truncated 200.
 func (s *Server) onShed(r *core.Request) {
 	s.shed[r.ID] = true
-	if ch, ok := s.streams[r.ID]; ok {
-		close(ch)
-		delete(s.streams, r.ID)
-	}
+	s.closeStream(r.ID)
 }
 
 // WasShed reports (and consumes) whether request id was dropped by the
@@ -213,18 +229,7 @@ func (s *Server) WasShed(id int64) bool {
 func (s *Server) RetryAfter() time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.retryAfterLocked()
-}
-
-func (s *Server) retryAfterLocked() time.Duration {
-	w := s.wallDelay(s.sch.RetryAfterHint(1))
-	if w < time.Second {
-		w = time.Second
-	}
-	if w > 120*time.Second {
-		w = 120 * time.Second
-	}
-	return w
+	return min(max(s.clock.Wall(s.sch.RetryAfterHint(1)), time.Second), 120*time.Second)
 }
 
 // Submit enqueues a generation request and returns its id and token
@@ -253,7 +258,7 @@ func (s *Server) SubmitTenant(model, tenant int64, promptLen, outputLen int) (in
 	id := s.nextID
 	ch := make(chan core.Token, outputLen+1)
 	s.streams[id] = ch
-	now := s.simNow()
+	now := s.clock.Now()
 	r := &core.Request{
 		ID:        id,
 		Model:     lora.ModelID(model),
@@ -262,11 +267,14 @@ func (s *Server) SubmitTenant(model, tenant int64, promptLen, outputLen int) (in
 		Arrival:   now,
 		Tenant:    tenant,
 	}
-	if _, err := s.sch.Dispatch(r, now); err != nil {
+	g, err := s.sch.Dispatch(r, now)
+	if err != nil {
 		delete(s.streams, id)
 		return 0, nil, err
 	}
-	s.cond.Broadcast()
+	if g != nil {
+		s.drivers[g].Kick()
+	}
 	return id, ch, nil
 }
 
@@ -279,11 +287,12 @@ func (s *Server) SubmitTenant(model, tenant int64, promptLen, outputLen int) (in
 func (s *Server) FailGPU(uuid string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	now := s.simNow()
+	now := s.clock.Now()
 	g, lost, _, ok := s.sch.FailGPU(uuid, now)
 	if !ok {
 		return false
 	}
+	s.drivers[g].Stop()
 	s.failures++
 	for i, got := range s.gpus {
 		if got == g {
@@ -293,11 +302,13 @@ func (s *Server) FailGPU(uuid string) bool {
 	}
 	for _, r := range lost {
 		s.recovered++
-		if _, err := s.sch.Requeue(r, now); err != nil {
-			s.dropRequest(r.ID)
+		dst, err := s.sch.Requeue(r, now)
+		if err != nil {
+			s.closeStream(r.ID)
+		} else if dst != nil {
+			s.drivers[dst].Kick()
 		}
 	}
-	s.cond.Broadcast()
 	return true
 }
 
@@ -306,7 +317,7 @@ func (s *Server) FailGPU(uuid string) bool {
 func (s *Server) Cancel(id int64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	now := s.simNow()
+	now := s.clock.Now()
 	found := false
 	for _, g := range s.gpus {
 		if g.Engine.Cancel(id, now) != nil {
@@ -314,18 +325,12 @@ func (s *Server) Cancel(id int64) bool {
 			break
 		}
 	}
-	if ch, ok := s.streams[id]; ok {
-		close(ch)
-		delete(s.streams, id)
-		found = true
-	}
+	found = s.closeStream(id) || found
 	if found {
 		// The cancel freed batch/KvCache room: give it to the queue now.
-		// Without this, a fleet whose drivers are all parked in cond.Wait
-		// (engines idle) strands queued requests until the next finish.
-		if _, err := s.sch.DrainQueue(now); err == nil {
-			s.cond.Broadcast()
-		}
+		// Without this, a fleet whose engines are all idle strands queued
+		// requests until the next finish.
+		s.drainQueue(now)
 	}
 	return found
 }
@@ -385,7 +390,7 @@ func (s *Server) Snapshot() Stats {
 	st := Stats{
 		QueueLen:          s.sch.QueueLen(),
 		Streams:           len(s.streams),
-		SimTime:           s.simNow().Seconds(),
+		SimTime:           s.clock.Now().Seconds(),
 		NeedMore:          s.sch.NeedMoreGPUs(),
 		Releasable:        len(s.sch.ReleasableGPUs()),
 		GPUFailures:       s.failures,
@@ -400,7 +405,7 @@ func (s *Server) Snapshot() Stats {
 		HTTP429:           s.rejected429,
 	}
 	for _, g := range s.gpus {
-		eng := s.engines[g]
+		eng := g.Engine.(*core.Engine)
 		es := eng.Stats()
 		gs := GPUState{
 			UUID:         g.UUID,
@@ -426,79 +431,25 @@ func (s *Server) Snapshot() Stats {
 	return st
 }
 
-// Close stops the drivers and closes all open streams.
+// Close stops the drivers and closes all open streams. Nothing the
+// server's clock scheduled runs afterwards.
 func (s *Server) Close() {
 	s.mu.Lock()
-	s.closed = true
-	for id, ch := range s.streams {
-		close(ch)
-		delete(s.streams, id)
-	}
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	s.wg.Wait()
-}
-
-// drive is the per-GPU runner loop: run invocations back-to-back, pace
-// them in wall time, and hand scheduler work back after each step.
-func (s *Server) drive(g *sched.GPU) {
-	defer s.wg.Done()
-	eng := s.engines[g]
-	s.mu.Lock()
 	defer s.mu.Unlock()
-	for !s.closed {
-		if !eng.Busy() {
-			s.cond.Wait()
-			continue
-		}
-		now := s.simNow()
-		res := eng.Step(now)
-		for _, ev := range res.Evicted {
-			if _, err := s.sch.Reschedule(ev, g, now); err != nil {
-				s.dropRequest(ev.ID)
-			}
-		}
-		if res.Idle {
-			wake, ok := eng.EarliestPendingReady()
-			if !ok {
-				// Nothing loadable; wait for scheduler activity.
-				s.cond.Wait()
-				continue
-			}
-			s.sleepLocked(s.wallDelay(wake - now))
-			continue
-		}
-		if g.Role == core.RolePrefill {
-			// Step boundary on the prefill pool: hand finished prefills
-			// to the decode pool (KvCache moved, not recomputed). The
-			// in-process token streams carry over untouched — indices
-			// simply continue on the new engine.
-			if dsts, err := s.sch.MigratePrefilled(g, s.simNow()); err == nil && len(dsts) > 0 {
-				s.cond.Broadcast()
-			}
-		}
-		if len(res.Finished) > 0 || len(res.Evicted) > 0 {
-			if _, err := s.sch.DrainQueue(s.simNow()); err == nil {
-				s.cond.Broadcast()
-			}
-		}
-		s.sleepLocked(s.wallDelay(res.Latency))
+	s.closed = true
+	s.clock.Stop()
+	for id := range s.streams {
+		s.closeStream(id)
 	}
 }
 
-// sleepLocked releases the lock for a wall-clock sleep. Closing the
-// server does not interrupt an in-flight sleep; Close waits for it.
-func (s *Server) sleepLocked(d time.Duration) {
-	s.mu.Unlock()
-	if d > 0 {
-		time.Sleep(d)
-	}
-	s.mu.Lock()
-}
-
-func (s *Server) dropRequest(id int64) {
-	if ch, ok := s.streams[id]; ok {
+// closeStream closes and forgets a request's token stream, reporting
+// whether one was open.
+func (s *Server) closeStream(id int64) bool {
+	ch, ok := s.streams[id]
+	if ok {
 		close(ch)
 		delete(s.streams, id)
 	}
+	return ok
 }

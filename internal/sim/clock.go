@@ -1,16 +1,21 @@
 package sim
 
 import (
+	"sync"
 	"time"
 )
 
 // Clock abstracts time for the serving stack so the same engine code runs
 // under a discrete-event virtual clock (hour-long cluster experiments in
-// milliseconds of wall time) and under wall-clock pacing (the HTTP demo).
+// milliseconds of wall time) and under wall-clock pacing (the live HTTP
+// stack). core.Driver steps engines on either.
 type Clock interface {
 	// Now returns the current simulation time as an offset from the
 	// simulation epoch.
 	Now() time.Duration
+	// Schedule runs fn at simulation time at; an instant already past
+	// runs as soon as possible. fn never runs inside Schedule itself.
+	Schedule(at time.Duration, fn func())
 }
 
 // VirtualClock is a discrete-event simulation clock. Events are scheduled
@@ -196,18 +201,53 @@ func (c *VirtualClock) pop() *event {
 	return top
 }
 
-// WallClock is a Clock backed by real time, for the interactive serving
-// demo. Time is measured from the moment the clock is created.
+// WallClock is a Clock paced by real time for the live serving stack:
+// simulation time runs speedup times faster than wall time since the
+// clock's creation. Each event runs on a timer goroutine under the
+// owner's lock mu, which must also be held to call Now, Schedule and
+// Stop.
 type WallClock struct {
-	epoch time.Time
+	epoch   time.Time
+	speedup float64
+	mu      sync.Locker
+	fired   time.Duration // latest event instant; Now never reads earlier
+	stopped bool
 }
 
 // NewWallClock returns a wall clock whose epoch is the current instant.
-func NewWallClock() *WallClock {
-	return &WallClock{epoch: time.Now()} //punica:nondet-ok WallClock IS the real-time bridge for the serving demo
+// A speedup of 1 serves in real time; mu is the owner's lock.
+func NewWallClock(speedup float64, mu sync.Locker) *WallClock {
+	return &WallClock{epoch: time.Now(), speedup: speedup, mu: mu} //punica:nondet-ok WallClock IS the real-time bridge for the live serving stack
 }
 
-// Now returns the elapsed real time since the clock was created.
-func (c *WallClock) Now() time.Duration {
-	return time.Since(c.epoch) //punica:nondet-ok WallClock IS the real-time bridge for the serving demo
+// elapsed returns the wall time since the epoch.
+func (c *WallClock) elapsed() time.Duration {
+	return time.Since(c.epoch) //punica:nondet-ok WallClock IS the real-time bridge for the live serving stack
 }
+
+// Now returns the simulation time elapsed since the epoch.
+func (c *WallClock) Now() time.Duration {
+	return max(time.Duration(float64(c.elapsed())*c.speedup), c.fired)
+}
+
+// Wall converts a simulated duration into wall time.
+func (c *WallClock) Wall(d time.Duration) time.Duration {
+	return time.Duration(float64(d) / c.speedup)
+}
+
+// Schedule runs fn under the owner's lock at wall instant
+// epoch + at/speedup, unless the clock is stopped by then.
+func (c *WallClock) Schedule(at time.Duration, fn func()) {
+	time.AfterFunc(c.Wall(at)-c.elapsed(), func() {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if c.stopped {
+			return
+		}
+		c.fired = max(c.fired, at)
+		fn()
+	})
+}
+
+// Stop drops every event not yet run, and every later one.
+func (c *WallClock) Stop() { c.stopped = true }

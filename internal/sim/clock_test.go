@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -91,10 +93,70 @@ func TestSchedulePastClamps(t *testing.T) {
 }
 
 func TestWallClockMonotonic(t *testing.T) {
-	c := NewWallClock()
+	var mu sync.Mutex
+	c := NewWallClock(100, &mu)
+	mu.Lock()
+	defer mu.Unlock()
 	a := c.Now()
 	b := c.Now()
 	if b < a {
 		t.Fatalf("wall clock went backwards: %v then %v", a, b)
+	}
+}
+
+// TestWallClockPastFiresUnderOwnerLock schedules an event an hour of
+// simulated time in the past while the owner holds its lock: it must
+// wait for the lock, then fire promptly with the lock held.
+func TestWallClockPastFiresUnderOwnerLock(t *testing.T) {
+	var mu sync.Mutex
+	c := NewWallClock(1, &mu)
+	done := make(chan bool, 1)
+	mu.Lock()
+	c.Schedule(-time.Hour, func() { done <- mu.TryLock() })
+	select {
+	case <-done:
+		t.Fatal("event ran while the owner held its lock")
+	case <-time.After(20 * time.Millisecond):
+	}
+	mu.Unlock()
+	select {
+	case locked := <-done:
+		if locked {
+			t.Fatal("event ran without the owner's lock held")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("past event did not fire")
+	}
+}
+
+// TestWallClockEventSeesItsInstant checks the pacing anchor: an event
+// observes Now at or after the instant it was scheduled for.
+func TestWallClockEventSeesItsInstant(t *testing.T) {
+	var mu sync.Mutex
+	c := NewWallClock(1000, &mu)
+	done := make(chan time.Duration, 1)
+	mu.Lock()
+	c.Schedule(5*time.Second, func() { done <- c.Now() }) // 5ms of wall time
+	mu.Unlock()
+	if now := <-done; now < 5*time.Second {
+		t.Fatalf("event at 5s saw Now %v", now)
+	}
+}
+
+// TestWallClockStopDropsEvents checks that nothing fires once the owner
+// stops the clock, including events already due.
+func TestWallClockStopDropsEvents(t *testing.T) {
+	var mu sync.Mutex
+	c := NewWallClock(1000, &mu)
+	var fired atomic.Int32
+	mu.Lock()
+	c.Schedule(0, func() { fired.Add(1) })
+	c.Schedule(10*time.Second, func() { fired.Add(1) }) // 10ms of wall time
+	c.Stop()
+	c.Schedule(0, func() { fired.Add(1) })
+	mu.Unlock()
+	time.Sleep(50 * time.Millisecond)
+	if n := fired.Load(); n != 0 {
+		t.Fatalf("%d events fired after Stop", n)
 	}
 }

@@ -33,9 +33,6 @@ func (r *RNG) Intn(n int) int { return r.src.Intn(n) }
 // Int63 returns a non-negative uniform 63-bit integer.
 func (r *RNG) Int63() int64 { return r.src.Int63() }
 
-// NormFloat64 returns a standard normal sample.
-func (r *RNG) NormFloat64() float64 { return r.src.NormFloat64() }
-
 // Exponential returns a sample from an exponential distribution with the
 // given mean. This drives Poisson arrival processes: inter-arrival gaps of
 // a Poisson process with rate λ are exponential with mean 1/λ (§7.3).
@@ -50,12 +47,6 @@ func (r *RNG) Exponential(mean float64) float64 {
 func (r *RNG) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*r.src.NormFloat64())
 }
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int { return r.src.Perm(n) }
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) { r.src.Shuffle(n, swap) }
 
 // Zipf samples ranks from a Zipf distribution matching the paper's Skewed
 // workload: "the number of requests to the i-th most popular model is α
