@@ -53,9 +53,9 @@ func (s *Snapshot) PagesFor(n int) int {
 	return (n + s.PageSize - 1) / s.PageSize
 }
 
-// KVNeed returns the token reservation r requires under the worker's
+// kvNeed returns the token reservation r requires under the worker's
 // memory model, mirroring the engine's admission accounting.
-func (s *Snapshot) KVNeed(r *Request) int {
+func (s *Snapshot) kvNeed(r *Request) int {
 	if s.PagedKV {
 		return r.ContextLen()
 	}
@@ -74,7 +74,7 @@ func (s *Snapshot) CanAdmit(r *Request) bool {
 	if s.WorkingSet >= s.MaxBatch {
 		return false
 	}
-	return s.PagesFor(s.KVNeed(r)) <= s.FreeKVPages
+	return s.PagesFor(s.kvNeed(r)) <= s.FreeKVPages
 }
 
 // CanImport reports whether the worker could land a KV migration of r
@@ -111,14 +111,14 @@ func (s *Snapshot) HasAdapter(id lora.ModelID) bool {
 // as fetched (warm residency outlives request churn anyway).
 func (s *Snapshot) NoteEnqueued(r *Request) {
 	s.WorkingSet++
-	s.FreeKVPages -= s.PagesFor(s.KVNeed(r))
+	s.FreeKVPages -= s.PagesFor(s.kvNeed(r))
 }
 
 // NoteRemoved is NoteEnqueued's inverse: r left the worker via cancel
 // or eviction, releasing its batch slot and KvCache reservation.
 func (s *Snapshot) NoteRemoved(r *Request) {
 	s.WorkingSet--
-	s.FreeKVPages += s.PagesFor(s.KVNeed(r))
+	s.FreeKVPages += s.PagesFor(s.kvNeed(r))
 }
 
 // StoreFreeBytes returns the adapter-store bytes not holding any

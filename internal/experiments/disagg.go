@@ -40,12 +40,12 @@ type DisaggOptions struct {
 	Policy string
 }
 
-// PrefillHeavyLengths is the disaggregation experiment's mix: prompts
+// prefillHeavyLengths is the disaggregation experiment's mix: prompts
 // averaging ≈700 tokens (capped near the engine's single-step prefill
 // ceiling) against ShareGPT-like outputs. One such prefill occupies a
 // unified GPU for tens of milliseconds — several decode steps' worth of
 // stall for every other tenant in the batch.
-func PrefillHeavyLengths() workload.Lengths {
+func prefillHeavyLengths() workload.Lengths {
 	return workload.Lengths{
 		PromptMu: 6.4, PromptSigma: 0.5, PromptMin: 256, PromptMax: 1536,
 		OutMu: 4.0, OutSigma: 0.7, OutMin: 8, OutMax: 256,
@@ -61,7 +61,7 @@ func DefaultDisaggOptions() DisaggOptions {
 		Rate:        24,
 		Horizon:     2 * time.Minute,
 		Seed:        42,
-		Lengths:     PrefillHeavyLengths(),
+		Lengths:     prefillHeavyLengths(),
 	}
 }
 

@@ -41,9 +41,9 @@ func (p RetryPolicy) Enabled() bool { return p.MaxAttempts > 1 }
 
 // Client drives one remote runner over HTTP and satisfies sched.Worker,
 // so the unmodified §5.1 scheduler routes across machines. Transport
-// failures degrade safely: CanAdmit answers false, so a dead runner
-// simply attracts no work while it is unreachable. With a RetryPolicy
-// set, transient failures (transport errors, 429, 502/503) are retried
+// failures degrade safely: Snapshot answers the zero snapshot, so a
+// dead runner simply attracts no work while it is unreachable. With a
+// RetryPolicy set, transient failures (transport errors, 429, 502/503) are retried
 // with exponential backoff honoring Retry-After; mutating calls carry
 // idempotency keys so a dropped *response* cannot double-apply work.
 // With a Breaker attached, transport outcomes feed it and an open
@@ -66,14 +66,11 @@ type Client struct {
 	retries    atomic.Int64
 	sleep      func(time.Duration) // injectable for tests
 
-	mu       sync.Mutex
-	maxBatch int
-	lastErr  error
-
-	// Conditional-GET cache for /runner/state: stateETag is the last
-	// ETag seen (the runner's state version) and cachedState the body it
-	// tagged. FetchState revalidates with If-None-Match; a 304 reuses
-	// cachedState without decoding a byte.
+	// mu guards the conditional-GET cache for /runner/state: stateETag
+	// is the last ETag seen (the runner's state version) and cachedState
+	// the body it tagged. FetchState revalidates with If-None-Match; a
+	// 304 reuses cachedState without decoding a byte.
+	mu          sync.Mutex
 	stateETag   string
 	cachedState State
 	haveState   bool
@@ -115,19 +112,6 @@ func (c *Client) Breaker() *Breaker { return c.breaker }
 
 // Retries counts re-attempts issued by the retry loop.
 func (c *Client) Retries() int64 { return c.retries.Load() }
-
-// LastErr returns the most recent transport error (nil when healthy).
-func (c *Client) LastErr() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lastErr
-}
-
-func (c *Client) setErr(err error) {
-	c.mu.Lock()
-	c.lastErr = err
-	c.mu.Unlock()
-}
 
 // noteTransport feeds the breaker with a transport-level outcome. Only
 // connection-level failures count against the link: an HTTP error
@@ -207,7 +191,6 @@ func (c *Client) doOnce(path string, body []byte, out any, idemKey string) callR
 	resp, err := c.http.Do(req)
 	c.noteTransport(err)
 	if err != nil {
-		c.setErr(err)
 		return callResult{err: err, retryable: true}
 	}
 	defer resp.Body.Close()
@@ -221,16 +204,13 @@ func (c *Client) doOnce(path string, body []byte, out any, idemKey string) callR
 		if resp.StatusCode == http.StatusServiceUnavailable &&
 			bytes.Contains(msg, []byte(lora.ErrStoreFull.Error())) {
 			err = fmt.Errorf("remote: %s: %w", path, lora.ErrStoreFull)
-			c.setErr(err)
 			return callResult{err: err}
 		}
-		c.setErr(err)
 		retryable := resp.StatusCode == http.StatusTooManyRequests ||
 			resp.StatusCode == http.StatusServiceUnavailable ||
 			resp.StatusCode == http.StatusBadGateway
 		return callResult{err: err, retryable: retryable, retryAfter: parseRetryAfter(resp)}
 	}
-	c.setErr(nil)
 	if out == nil {
 		return callResult{}
 	}
@@ -309,16 +289,12 @@ func (c *Client) Probe(timeout time.Duration) error {
 	resp, err := probe.Get(c.base + "/runner/state")
 	c.noteTransport(err)
 	if err != nil {
-		c.setErr(err)
 		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		err := fmt.Errorf("remote: probe -> %d", resp.StatusCode)
-		c.setErr(err)
-		return err
+		return fmt.Errorf("remote: probe -> %d", resp.StatusCode)
 	}
-	c.setErr(nil)
 	return nil
 }
 
@@ -331,7 +307,6 @@ func (c *Client) Crash(_ time.Duration) ([]*core.Request, int) {
 	drain := &http.Client{Timeout: 2 * time.Second, Transport: c.transport}
 	resp, err := drain.Post(c.base+"/runner/drain", "application/json", bytes.NewReader([]byte("{}")))
 	if err != nil {
-		c.setErr(err)
 		return nil, 0
 	}
 	defer resp.Body.Close()
@@ -376,7 +351,6 @@ func (c *Client) FetchState() (State, error) {
 		resp, err := c.http.Do(req)
 		c.noteTransport(err)
 		if err != nil {
-			c.setErr(err)
 			return State{}, err
 		}
 		if resp.StatusCode == http.StatusNotModified {
@@ -388,7 +362,6 @@ func (c *Client) FetchState() (State, error) {
 			}
 			c.mu.Unlock()
 			if ok {
-				c.setErr(nil)
 				return st, nil
 			}
 			// 304 without a cached body should not happen (we only send
@@ -398,20 +371,15 @@ func (c *Client) FetchState() (State, error) {
 			if attempt == 0 {
 				continue
 			}
-			err := fmt.Errorf("remote: /runner/state answered 304 to an unconditional GET")
-			c.setErr(err)
-			return State{}, err
+			return State{}, fmt.Errorf("remote: /runner/state answered 304 to an unconditional GET")
 		}
 		var st State
 		decodeErr := json.NewDecoder(resp.Body).Decode(&st)
 		resp.Body.Close()
 		if decodeErr != nil {
-			c.setErr(decodeErr)
 			return State{}, decodeErr
 		}
-		c.setErr(nil)
 		c.mu.Lock()
-		c.maxBatch = st.MaxBatch
 		c.stateETag = resp.Header.Get("ETag")
 		c.cachedState = st
 		c.haveState = true
@@ -436,19 +404,6 @@ func (c *Client) Snapshot() core.Snapshot {
 	return st.toSnapshot()
 }
 
-// CanAdmit asks the runner directly (one round-trip); the scheduler
-// evaluates admission from Snapshot instead, but the endpoint stays for
-// diagnostics and external pollers.
-func (c *Client) CanAdmit(r *core.Request) bool {
-	var reply AdmitReply
-	err := c.postJSON("/runner/can_admit", AdmitQuery{
-		PromptLen: r.PromptLen,
-		OutputLen: r.OutputLen,
-		Generated: r.Generated,
-	}, &reply)
-	return err == nil && reply.CanAdmit
-}
-
 // Enqueue implements sched.Worker. The call carries an idempotency key:
 // a retry after a dropped response must not double-admit the request.
 func (c *Client) Enqueue(r *core.Request, _ time.Duration) error {
@@ -462,21 +417,6 @@ func (c *Client) WorkingSet() int {
 		return 0
 	}
 	return st.WorkingSet
-}
-
-// MaxBatch implements sched.Worker.
-func (c *Client) MaxBatch() int {
-	c.mu.Lock()
-	mb := c.maxBatch
-	c.mu.Unlock()
-	if mb > 0 {
-		return mb
-	}
-	st, err := c.FetchState()
-	if err != nil {
-		return core.DefaultMaxBatch
-	}
-	return st.MaxBatch
 }
 
 // Cancel implements sched.Worker.

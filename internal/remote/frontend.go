@@ -2,9 +2,11 @@ package remote
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"sort"
@@ -94,14 +96,13 @@ type Frontend struct {
 	sch     *sched.Scheduler
 	clients map[*sched.GPU]*Client
 	opts    FrontendOptions
+	api     *serve.Handler
 
 	mu        sync.Mutex
 	nextID    int64
 	placed    map[int64]placement
 	waiters   map[int64]chan *sched.GPU
-	shed      map[int64]bool // queued requests dropped by the admission layer
-	rejects   int64          // 429s answered by /v1/generate
-	failed    []string       // UUIDs of runners declared dead
+	failed    []string // UUIDs of runners declared dead
 	failures  int64
 	recovered int64
 	start     time.Time
@@ -123,11 +124,11 @@ func NewFrontendWithOptions(runnerURLs []string, opts FrontendOptions) *Frontend
 		clients:   make(map[*sched.GPU]*Client),
 		placed:    make(map[int64]placement),
 		waiters:   make(map[int64]chan *sched.GPU),
-		shed:      make(map[int64]bool),
 		start:     time.Now(),
 		stop:      make(chan struct{}),
 		roleKnown: make(map[*sched.GPU]bool),
 	}
+	f.api = serve.NewHandler(f)
 	var gpus []*sched.GPU
 	for i, url := range runnerURLs {
 		var rt http.RoundTripper
@@ -358,16 +359,10 @@ func (f *Frontend) failRunner(g *sched.GPU) {
 	}
 }
 
-// ErrShed reports that a queued request was dropped by the admission
-// layer's best-effort shedding to make room for a higher-priority
-// arrival. The generate endpoint answers it with 429.
-var ErrShed = errors.New("remote: request shed under overload")
-
-// onShed marks a queued request dropped by the admission layer and
-// wakes its Submit waiter with a closed channel. Runs with f.mu held
-// (inside Dispatch inside Submit).
+// onShed wakes the Submit waiter of a queued request dropped by the
+// admission layer with a closed channel. Runs with f.mu held (inside
+// Dispatch inside Submit).
 func (f *Frontend) onShed(r *core.Request) {
-	f.shed[r.ID] = true
 	if ch, ok := f.waiters[r.ID]; ok {
 		close(ch)
 		delete(f.waiters, r.ID)
@@ -377,12 +372,13 @@ func (f *Frontend) onShed(r *core.Request) {
 // Submit dispatches a request and returns the runner that owns it,
 // blocking while the request waits in the FCFS queue.
 func (f *Frontend) Submit(model int64, promptLen, outputLen int, timeout time.Duration) (int64, *Client, error) {
-	return f.SubmitTenant(model, 0, promptLen, outputLen, timeout)
+	return f.submit(context.Background(), model, 0, promptLen, outputLen, timeout)
 }
 
-// SubmitTenant is Submit with a tenant tag for the per-tenant admission
-// cap and the fairness layer.
-func (f *Frontend) SubmitTenant(model, tenant int64, promptLen, outputLen int, timeout time.Duration) (int64, *Client, error) {
+// submit is Submit with a tenant tag (for the per-tenant admission cap
+// and the fairness layer) that also gives up when ctx ends. A request
+// given up on while queued leaves the queue.
+func (f *Frontend) submit(ctx context.Context, model, tenant int64, promptLen, outputLen int, timeout time.Duration) (int64, *Client, error) {
 	f.mu.Lock()
 	f.nextID++
 	id := f.nextID
@@ -405,36 +401,29 @@ func (f *Frontend) SubmitTenant(model, tenant int64, promptLen, outputLen int, t
 		f.mu.Unlock()
 		return id, client, nil
 	}
-	// Queued: remember the request so a later runner failure can
-	// re-dispatch it, and wait for the drain loop to place it.
+	// Queued: wait for the drain loop to place it.
 	ch := make(chan *sched.GPU, 1)
 	f.waiters[id] = ch
 	f.mu.Unlock()
 
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
-	for {
-		select {
-		case g, ok := <-ch:
-			if !ok || g == nil {
-				// Channel closed without a placement: the admission
-				// layer shed this request while it waited.
-				return 0, nil, ErrShed
-			}
-			f.mu.Lock()
-			client := f.clients[g]
-			f.mu.Unlock()
-			return id, client, nil
-		case <-deadline.C:
-			f.mu.Lock()
-			delete(f.waiters, id)
-			f.mu.Unlock()
-			// Best effort: pull it back off the queue via cancel.
-			f.CancelEverywhere(id)
-			return 0, nil, fmt.Errorf("remote: request %d timed out in queue", id)
-		case <-f.stop:
-			return 0, nil, fmt.Errorf("remote: frontend closed")
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	select {
+	case g, ok := <-ch:
+		if !ok {
+			// Channel closed without a placement: the admission
+			// layer shed this request while it waited.
+			return 0, nil, serve.ErrShed
 		}
+		f.mu.Lock()
+		client := f.clients[g]
+		f.mu.Unlock()
+		return id, client, nil
+	case <-ctx.Done():
+		f.cancelEverywhere(id)
+		return 0, nil, fmt.Errorf("remote: request %d left the queue: %w", id, ctx.Err())
+	case <-f.stop:
+		return 0, nil, fmt.Errorf("remote: frontend closed")
 	}
 }
 
@@ -467,24 +456,24 @@ func (f *Frontend) owner(id int64) (*Client, *sched.GPU, bool) {
 // channel, and a dead runner's placement simply never answers, so the
 // reconnect attempt fails and the poll continues until the health loop
 // re-places the request elsewhere.
-func (f *Frontend) waitNewOwner(req *http.Request, id int64, deadline time.Time) (*Client, *sched.GPU, bool) {
+func (f *Frontend) waitNewOwner(ctx context.Context, id int64, deadline time.Time) (*Client, bool) {
 	for {
 		select {
 		case <-f.stop:
-			return nil, nil, false
-		case <-req.Context().Done():
-			return nil, nil, false
+			return nil, false
+		case <-ctx.Done():
+			return nil, false
 		case <-time.After(10 * time.Millisecond):
 		}
 		f.mu.Lock()
 		if p, ok := f.placed[id]; ok {
 			c := f.clients[p.gpu]
 			f.mu.Unlock()
-			return c, p.gpu, true
+			return c, true
 		}
 		f.mu.Unlock()
 		if time.Now().After(deadline) {
-			return nil, nil, false
+			return nil, false
 		}
 	}
 }
@@ -511,14 +500,20 @@ func (f *Frontend) forget(id int64) {
 	f.mu.Unlock()
 }
 
-// CancelEverywhere cancels a request wherever it lives.
-func (f *Frontend) CancelEverywhere(id int64) bool {
+// cancelEverywhere cancels a request wherever it lives: still queued,
+// or on whichever runner holds it.
+func (f *Frontend) cancelEverywhere(id int64) bool {
 	f.mu.Lock()
+	delete(f.waiters, id)
+	delete(f.placed, id)
+	if f.sch.CancelQueued(id) {
+		f.mu.Unlock()
+		return true
+	}
 	clients := make([]*Client, 0, len(f.clients))
 	for _, c := range f.clients {
 		clients = append(clients, c)
 	}
-	delete(f.placed, id)
 	f.mu.Unlock()
 	found := false
 	for _, c := range clients {
@@ -529,183 +524,140 @@ func (f *Frontend) CancelEverywhere(id int64) bool {
 	return found
 }
 
-// Handler returns the user-facing REST API (same shape as the in-process
-// serve package): POST /v1/generate streaming NDJSON, GET /v1/stats.
-func (f *Frontend) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/generate", f.handleGenerate)
-	mux.HandleFunc("GET /v1/stats", f.handleStats)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
-	return mux
-}
+// Handler returns the user-facing REST API (see serve.Handler).
+func (f *Frontend) Handler() http.Handler { return f.api }
 
-func (f *Frontend) handleGenerate(w http.ResponseWriter, req *http.Request) {
-	var gr serve.GenerateRequest
-	if err := json.NewDecoder(req.Body).Decode(&gr); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	promptLen := gr.PromptLen
-	if promptLen == 0 {
-		promptLen = serve.EstimateTokens(gr.Prompt)
-	}
-	if promptLen <= 0 {
-		http.Error(w, "empty prompt", http.StatusBadRequest)
-		return
-	}
-	if gr.MaxTokens <= 0 {
-		gr.MaxTokens = 128
-	}
-	id, client, err := f.SubmitTenant(gr.Model, gr.Tenant, promptLen, gr.MaxTokens, 2*time.Minute)
+// Open implements serve.Backend: it submits the request, waiting up to
+// two minutes in the queue, and proxies the owning runner's token
+// stream.
+func (f *Frontend) Open(ctx context.Context, model, tenant int64, promptLen, outputLen int) (serve.Stream, error) {
+	id, client, err := f.submit(ctx, model, tenant, promptLen, outputLen, 2*time.Minute)
 	if err != nil {
-		// The same backpressure envelope as the in-process server:
-		// admission refusals and sheds answer 429 with a drain-rate
-		// Retry-After; everything else stays a retryable 503.
-		switch {
-		case errors.Is(err, sched.ErrQueueFull):
-			f.note429()
-			serve.WriteBackpressure(w, http.StatusTooManyRequests, serve.CodeQueueFull, err.Error(), f.retryAfter())
-		case errors.Is(err, sched.ErrTenantQueueFull):
-			f.note429()
-			serve.WriteBackpressure(w, http.StatusTooManyRequests, serve.CodeTenantQueueFull, err.Error(), f.retryAfter())
-		case errors.Is(err, ErrShed):
-			f.note429()
-			serve.WriteBackpressure(w, http.StatusTooManyRequests, serve.CodeShed, err.Error(), f.retryAfter())
-		default:
-			serve.WriteBackpressure(w, http.StatusServiceUnavailable, serve.CodeUnavailable, err.Error(), f.retryAfter())
-		}
-		return
+		return nil, err
 	}
-	f.streamToUser(w, req, id, client)
+	return &frontStream{f: f, id: id, client: client}, nil
 }
 
-// note429 counts one 429 answered by the generate endpoint.
-func (f *Frontend) note429() {
+// RetryAfter implements serve.Backend: the time the scheduler's drain
+// rate needs to free one queue slot (frontend time runs at wall speed).
+func (f *Frontend) RetryAfter() time.Duration {
 	f.mu.Lock()
-	f.rejects++
-	f.mu.Unlock()
+	defer f.mu.Unlock()
+	return f.sch.RetryAfterHint(1)
 }
 
-// retryAfter derives the advertised wait from the scheduler's drain
-// rate, clamped to [1s, 120s] (frontend time runs at wall speed).
-func (f *Frontend) retryAfter() time.Duration {
-	f.mu.Lock()
-	d := f.sch.RetryAfterHint(1)
-	f.mu.Unlock()
-	if d < time.Second {
-		d = time.Second
-	}
-	if d > 120*time.Second {
-		d = 120 * time.Second
-	}
-	return d
-}
-
-// streamToUser proxies the runner's NDJSON token stream to the user.
-// With health checking enabled, a stream cut mid-generation (runner
-// died) waits for the request's re-placement and re-attaches to the new
-// owner: the recovering runner regenerates from scratch (deterministic
-// token ids), and the per-token Index dedupes the already-delivered
-// prefix so the user sees each token exactly once.
-func (f *Frontend) streamToUser(w http.ResponseWriter, req *http.Request, id int64, client *Client) {
-	next := 0 // next token index the user has not yet received
-	wroteHeader := false
-	flusher, _ := w.(http.Flusher)
-
-	fail := func(msg string, code int) {
-		f.CancelEverywhere(id)
-		if !wroteHeader {
-			http.Error(w, msg, code)
-		}
-	}
-
+// frontStream proxies a request's NDJSON token stream from its owning
+// runner. When the runner's stream ends without EOS (the runner died,
+// or a KV migration handed the request to the decode pool) and
+// recovery is enabled, it waits for the request's re-placement and
+// re-attaches to the new owner: the recovering runner regenerates from
+// scratch (deterministic token ids), and the per-token Index dedupes
+// the already-delivered prefix so the user sees each token exactly
+// once.
+type frontStream struct {
+	f      *Frontend
+	id     int64
+	client *Client
+	body   io.ReadCloser // open runner stream, nil between attachments
+	sc     *bufio.Scanner
+	next   int // next token index the user has not yet received
+	eos    bool
 	// recoverBy bounds the total time spent without forward progress:
 	// it is armed when a stream breaks, cleared by every delivered
 	// token, and NOT re-armed by retries — a permanently dead owner
-	// (health checking off, so no re-placement ever happens) fails with
-	// 502 after RecoverWait instead of retrying forever.
-	var recoverBy time.Time
-	for {
-		streamReq, err := http.NewRequestWithContext(req.Context(), "GET", client.StreamURL(id), nil)
-		if err != nil {
-			fail(err.Error(), http.StatusInternalServerError)
-			return
-		}
-		// The stream rides the link's own transport (StreamDo), so an
-		// injected partition severs it exactly like a real one.
-		resp, err := client.StreamDo(streamReq)
-		if err != nil || resp.StatusCode != http.StatusOK {
-			if resp != nil {
-				resp.Body.Close()
-			}
-		} else {
-			if !wroteHeader {
-				w.Header().Set("Content-Type", "application/x-ndjson")
-				w.Header().Set("X-Request-ID", fmt.Sprint(id))
-				w.WriteHeader(http.StatusOK)
-				wroteHeader = true
-			}
-			sc := bufio.NewScanner(resp.Body)
-			sc.Buffer(make([]byte, 4096), 1<<20)
-			done := false
-			for sc.Scan() {
-				line := sc.Bytes()
-				var ev TokenEvent
-				if json.Unmarshal(line, &ev) != nil {
-					continue
-				}
-				if ev.Index < next {
-					continue // recomputed prefix after a recovery
-				}
-				if _, werr := w.Write(append(line, '\n')); werr != nil {
-					resp.Body.Close()
-					f.CancelEverywhere(id)
-					return
-				}
-				if flusher != nil {
-					flusher.Flush()
-				}
-				next = ev.Index + 1
-				recoverBy = time.Time{} // forward progress: disarm
-				if ev.EOS {
-					done = true
-					break
-				}
-			}
-			resp.Body.Close()
-			if done {
-				f.forget(id)
-				return
-			}
-			// EOF without EOS: the owning runner died mid-stream (or
-			// drained the request away). Fall through to recovery.
-		}
-		if !f.recoveryEnabled() || req.Context().Err() != nil {
-			// No fault tolerance configured and no migration possible,
-			// or it was the *user* who went away (their context is done)
-			// — cancel now instead of holding the request through a
-			// pointless recovery wait.
-			fail("runner stream unavailable", http.StatusBadGateway)
-			return
-		}
-		if recoverBy.IsZero() {
-			recoverBy = time.Now().Add(f.opts.RecoverWait)
-		} else if time.Now().After(recoverBy) {
-			fail("request lost: runner died and recovery timed out", http.StatusBadGateway)
-			return
-		}
-		newClient, _, ok := f.waitNewOwner(req, id, recoverBy)
-		if !ok {
-			fail("request lost: runner died and recovery timed out", http.StatusBadGateway)
-			return
-		}
-		client = newClient
+	// (health checking off, so no re-placement ever happens) fails
+	// after RecoverWait instead of retrying forever.
+	recoverBy time.Time
+}
+
+func (s *frontStream) ID() int64 { return s.id }
+
+func (s *frontStream) Cancel() {
+	s.closeBody()
+	s.f.cancelEverywhere(s.id)
+}
+
+func (s *frontStream) closeBody() {
+	if s.body != nil {
+		s.body.Close()
+		s.body = nil
 	}
 }
 
-func (f *Frontend) handleStats(w http.ResponseWriter, _ *http.Request) {
+// Next relays the runner's next new line as is.
+func (s *frontStream) Next(ctx context.Context) ([]byte, error) {
+	for !s.eos {
+		if s.body == nil {
+			streamReq, err := http.NewRequestWithContext(ctx, "GET", s.client.StreamURL(s.id), nil)
+			if err != nil {
+				return nil, err
+			}
+			// The stream rides the link's own transport (StreamDo), so
+			// an injected partition severs it exactly like a real one.
+			resp, err := s.client.StreamDo(streamReq)
+			if err == nil && resp.StatusCode == http.StatusOK {
+				s.body = resp.Body
+				s.sc = bufio.NewScanner(resp.Body)
+				s.sc.Buffer(make([]byte, 4096), 1<<20)
+			} else if resp != nil {
+				resp.Body.Close()
+			}
+		}
+		for s.body != nil && s.sc.Scan() {
+			line := s.sc.Bytes()
+			var ev TokenEvent
+			if json.Unmarshal(line, &ev) != nil || ev.Index < s.next {
+				continue // recomputed prefix after a recovery
+			}
+			s.next = ev.Index + 1
+			s.recoverBy = time.Time{} // forward progress: disarm
+			if ev.EOS {
+				s.eos = true
+				s.closeBody()
+				s.f.forget(s.id)
+			}
+			return append(line, '\n'), nil
+		}
+		// Refused, or EOF without EOS: the owning runner died
+		// mid-stream (or drained the request away).
+		s.closeBody()
+		if err := s.reattach(ctx); err != nil {
+			return nil, err
+		}
+	}
+	return nil, io.EOF
+}
+
+// reattach waits for the request's next owner after its stream broke.
+func (s *frontStream) reattach(ctx context.Context) error {
+	if !s.f.recoveryEnabled() || ctx.Err() != nil {
+		// No fault tolerance configured and no migration possible, or
+		// it was the *user* who went away (their context is done) —
+		// give up now instead of holding the request through a
+		// pointless recovery wait.
+		return errStreamUnavailable
+	}
+	if s.recoverBy.IsZero() {
+		s.recoverBy = time.Now().Add(s.f.opts.RecoverWait)
+	} else if time.Now().After(s.recoverBy) {
+		return errRecoveryTimeout
+	}
+	client, ok := s.f.waitNewOwner(ctx, s.id, s.recoverBy)
+	if !ok {
+		return errRecoveryTimeout
+	}
+	s.client = client
+	return nil
+}
+
+var (
+	errStreamUnavailable = errors.New("runner stream unavailable")
+	errRecoveryTimeout   = errors.New("request lost: runner died and recovery timed out")
+)
+
+// Stats implements serve.Backend: runner states plus the frontend's
+// queue, fault and admission counters.
+func (f *Frontend) Stats() any {
 	f.mu.Lock()
 	clients := make([]*Client, 0, len(f.clients))
 	breakers := make(map[string]string)
@@ -720,7 +672,6 @@ func (f *Frontend) handleStats(w http.ResponseWriter, _ *http.Request) {
 	queueLen := f.sch.QueueLen()
 	queuePeak := f.sch.QueuePeak()
 	admStats := f.sch.AdmissionStats()
-	rejects := f.rejects
 	failed := append([]string(nil), f.failed...)
 	failures := f.failures
 	recovered := f.recovered
@@ -739,7 +690,7 @@ func (f *Frontend) handleStats(w http.ResponseWriter, _ *http.Request) {
 		s := f.opts.NetFaults.Stats()
 		faults = &s
 	}
-	writeJSON(w, struct {
+	return struct {
 		Runners        []State           `json:"runners"`
 		QueueLen       int               `json:"queue_len"`
 		QueuePeak      int               `json:"queue_peak"`
@@ -759,6 +710,6 @@ func (f *Frontend) handleStats(w http.ResponseWriter, _ *http.Request) {
 		GPUFailures: failures, Recovered: recovered,
 		KVMigrations: schedStats.KVMigrations, KVPrefetches: schedStats.AdapterPrefetches,
 		Rejected: admStats.Rejected, TenantRejected: admStats.TenantRejected,
-		Shed: admStats.Shed, HTTP429: rejects, Retries: retries,
-		Breakers: breakers, NetFaults: faults})
+		Shed: admStats.Shed, HTTP429: f.api.HTTP429(), Retries: retries,
+		Breakers: breakers, NetFaults: faults}
 }

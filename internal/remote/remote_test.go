@@ -46,7 +46,7 @@ func TestRunnerEnqueueAndStream(t *testing.T) {
 	client := NewClient(srv.URL)
 
 	req := &core.Request{ID: 1, Model: 7, PromptLen: 64, OutputLen: 6}
-	if !client.CanAdmit(req) {
+	if snap := client.Snapshot(); !snap.CanAdmit(req) {
 		t.Fatal("fresh runner should admit")
 	}
 	if err := client.Enqueue(req, 0); err != nil {
@@ -81,8 +81,8 @@ func TestRunnerStateAndWorker(t *testing.T) {
 	if st.UUID != "r1" || st.MaxBatch != 8 || st.TotalPages == 0 {
 		t.Fatalf("state malformed: %+v", st)
 	}
-	if client.MaxBatch() != 8 {
-		t.Fatalf("MaxBatch = %d", client.MaxBatch())
+	if mb := client.Snapshot().MaxBatch; mb != 8 {
+		t.Fatalf("MaxBatch = %d", mb)
 	}
 	if client.WorkingSet() != 0 {
 		t.Fatal("fresh runner should be empty")
@@ -162,17 +162,14 @@ func TestRunnerEvictForMigration(t *testing.T) {
 
 func TestClientDegradesSafely(t *testing.T) {
 	client := NewClient("http://127.0.0.1:1") // nothing listens here
-	if client.CanAdmit(&core.Request{PromptLen: 1, OutputLen: 1}) {
-		t.Fatal("unreachable runner must refuse admission")
-	}
 	if snap := client.Snapshot(); snap.CanAdmit(&core.Request{PromptLen: 1, OutputLen: 1}) {
 		t.Fatal("unreachable runner's zero snapshot must refuse admission")
 	}
 	if client.WorkingSet() != 0 {
 		t.Fatal("unreachable runner working set should read 0")
 	}
-	if client.LastErr() == nil {
-		t.Fatal("transport error should be recorded")
+	if _, err := client.FetchState(); err == nil {
+		t.Fatal("transport error should surface")
 	}
 	if client.Cancel(1, 0) != nil || client.EvictNewest(0) != nil {
 		t.Fatal("unreachable runner should return nil state")
@@ -297,7 +294,7 @@ func TestWireRoundtrip(t *testing.T) {
 func TestRunnerBadRequests(t *testing.T) {
 	_, srv := startRunner(t, "rX", 0)
 	// Malformed JSON on every POST endpoint.
-	for _, path := range []string{"/runner/enqueue", "/runner/can_admit", "/runner/cancel"} {
+	for _, path := range []string{"/runner/enqueue", "/runner/cancel"} {
 		resp, err := http.Post(srv.URL+path, "application/json",
 			bytes.NewReader([]byte("{broken")))
 		if err != nil {

@@ -180,7 +180,6 @@ func (r *Runner) dropStream(id int64) {
 func (r *Runner) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /runner/enqueue", r.idem.wrap(r.handleEnqueue))
-	mux.HandleFunc("POST /runner/can_admit", r.handleCanAdmit)
 	mux.HandleFunc("POST /runner/cancel", r.handleCancel)
 	mux.HandleFunc("POST /runner/evict", r.handleEvict)
 	mux.HandleFunc("POST /runner/drain", r.handleDrain)
@@ -218,22 +217,6 @@ func (r *Runner) handleEnqueue(w http.ResponseWriter, req *http.Request) {
 	}
 	r.drv.Kick()
 	w.WriteHeader(http.StatusOK)
-}
-
-func (r *Runner) handleCanAdmit(w http.ResponseWriter, req *http.Request) {
-	var q AdmitQuery
-	if err := json.NewDecoder(req.Body).Decode(&q); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	r.mu.Lock()
-	can := r.eng.CanAdmit(&core.Request{
-		PromptLen: q.PromptLen,
-		OutputLen: q.OutputLen,
-		Generated: q.Generated,
-	})
-	r.mu.Unlock()
-	writeJSON(w, AdmitReply{CanAdmit: can})
 }
 
 func (r *Runner) handleCancel(w http.ResponseWriter, req *http.Request) {

@@ -53,18 +53,6 @@ func fromCore(r *core.Request) RequestState {
 	}
 }
 
-// AdmitQuery asks whether a runner can take a request right now.
-type AdmitQuery struct {
-	PromptLen int `json:"prompt_len"`
-	OutputLen int `json:"output_len"`
-	Generated int `json:"generated"`
-}
-
-// AdmitReply answers an AdmitQuery.
-type AdmitReply struct {
-	CanAdmit bool `json:"can_admit"`
-}
-
 // CancelRequest identifies a request to cancel or evict.
 type CancelRequest struct {
 	ID int64 `json:"id"`

@@ -221,8 +221,36 @@ func (s *Scheduler) shedVictim(r *core.Request) *core.Request {
 	return nil
 }
 
+// CancelQueued drops the queued request with the given id — its user
+// cancelled or gave up before it was placed — and reports whether it
+// was waiting. A request already on a GPU is the caller's to cancel
+// there.
+func (s *Scheduler) CancelQueued(id int64) bool {
+	if s.fair == nil {
+		return s.cancelIn(s.queue, id)
+	}
+	for _, tq := range s.fair.heap {
+		if s.cancelIn(tq.reqs, id) {
+			return true
+		}
+	}
+	return false
+}
+
+// cancelIn removes the request with the given id if queue holds it.
+func (s *Scheduler) cancelIn(queue []*core.Request, id int64) bool {
+	for _, q := range queue {
+		if q.ID == id {
+			s.removeQueued(q)
+			return true
+		}
+	}
+	return false
+}
+
 // removeQueued drops one queued request from whichever admission queue
-// is active (the shed path; the request never reaches a GPU).
+// is active (the shed and cancel paths; the request never reaches a
+// GPU).
 func (s *Scheduler) removeQueued(victim *core.Request) {
 	if s.fair != nil {
 		tq := s.fair.byTenant[victim.Tenant]

@@ -273,3 +273,41 @@ func TestParseShedPolicy(t *testing.T) {
 		t.Fatalf("ShedPolicy.String round-trip broken")
 	}
 }
+
+// TestCancelQueuedRemovesByID drops a waiting request by id in FCFS and
+// fairness mode alike: the queue shrinks, the rest keep their order,
+// and the dropped request is never placed.
+func TestCancelQueuedRemovesByID(t *testing.T) {
+	for _, fair := range []bool{false, true} {
+		s, g := admissionFleet(t, 1)
+		s.SetFairness(fair)
+		fillFleet(t, s, 1)
+		for i := int64(0); i < 3; i++ {
+			if _, err := s.Dispatch(admReq(10+i, i, time.Duration(i)), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !s.CancelQueued(11) {
+			t.Fatalf("fair=%v: queued request 11 not found", fair)
+		}
+		if s.CancelQueued(11) || s.CancelQueued(1) {
+			t.Fatalf("fair=%v: cancelled a request that is not queued", fair)
+		}
+		if got := s.QueueLen(); got != 2 {
+			t.Fatalf("fair=%v: queue len %d, want 2", fair, got)
+		}
+		g.Engine.Cancel(1, 0)
+		var ids []int64
+		for len(ids) < 2 {
+			placed, err := s.DrainQueue(0)
+			if err != nil || len(placed) != 1 {
+				t.Fatalf("fair=%v: drain placed %d: %v", fair, len(placed), err)
+			}
+			ids = append(ids, placed[0].Request.ID)
+			g.Engine.Cancel(placed[0].Request.ID, 0)
+		}
+		if ids[0] != 10 || ids[1] != 12 {
+			t.Fatalf("fair=%v: placed %v, want [10 12]", fair, ids)
+		}
+	}
+}

@@ -239,3 +239,36 @@ func TestRetryAfterClampedToWallSeconds(t *testing.T) {
 		t.Fatalf("RetryAfter = %v, want within [1s, 120s]", got)
 	}
 }
+
+// TestCancelQueuedLeavesQueue cancels a request still waiting for the
+// single batch slot: it must leave the queue, so freeing the slot does
+// not place it.
+func TestCancelQueuedLeavesQueue(t *testing.T) {
+	s := admissionServer(t, sched.AdmissionConfig{}, false)
+	a, _, err := s.Submit(1, 64, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, bStream, err := s.Submit(1, 64, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Snapshot().QueueLen; got != 1 {
+		t.Fatalf("queue len %d, want the second request queued", got)
+	}
+	if !s.Cancel(b) {
+		t.Fatal("cancel did not find the queued request")
+	}
+	if got := s.Snapshot().QueueLen; got != 0 {
+		t.Fatalf("queue len %d after cancelling the queued request, want 0", got)
+	}
+	if _, open := <-bStream; open {
+		t.Fatal("cancelled request's stream still open")
+	}
+	if !s.Cancel(a) {
+		t.Fatal("cancel did not find the running request")
+	}
+	if st := s.Snapshot(); st.GPUs[0].ActiveBatch != 0 || st.QueueLen != 0 {
+		t.Fatalf("cancelled request was placed: %+v", st)
+	}
+}

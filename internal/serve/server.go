@@ -12,7 +12,13 @@
 package serve
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"net/http"
 	"sync"
 	"time"
 
@@ -72,23 +78,33 @@ type Server struct {
 	sch     *sched.Scheduler
 	gpus    []*sched.GPU
 	drivers map[*sched.GPU]*core.Driver
-	streams map[int64]chan core.Token
+	streams map[int64]*stream
 	nextID  int64
 	closed  bool
+	api     *Handler
 
 	// Fault accounting (FailGPU).
 	failures  int64
 	recovered int64
-
-	// shed marks request ids dropped by the ShedBestEffort admission
-	// policy between the scheduler callback and the HTTP handler
-	// observing the closed stream, so the handler can answer 429 rather
-	// than a generic failure. Entries are consumed by WasShed.
-	shed map[int64]bool
-	// rejected429 counts HTTP 429 responses sent by the generate
-	// endpoint (both queue-full rejections and shed victims).
-	rejected429 int64
 }
+
+// stream is one request's token channel and its reader's state.
+type stream struct {
+	s  *Server
+	id int64
+	ch chan core.Token
+	// shed is set, under Server.mu and before ch closes, when the
+	// admission layer dropped the queued request: a reader that sees
+	// the close can tell a shed from a drop.
+	shed    bool
+	started bool
+	buf     bytes.Buffer
+	enc     *json.Encoder
+}
+
+// errDropped reports a stream that closed before its first token
+// without being shed (recovery failure or server close).
+var errDropped = errors.New("request dropped before first token")
 
 // New builds and starts a server: one driver per GPU. With
 // PrefillGPUs/DecodeGPUs set, the first engines form the prefill pool
@@ -107,9 +123,9 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		drivers: make(map[*sched.GPU]*core.Driver),
-		streams: make(map[int64]chan core.Token),
-		shed:    make(map[int64]bool),
+		streams: make(map[int64]*stream),
 	}
+	s.api = NewHandler(s)
 	s.clock = sim.NewWallClock(cfg.Speedup, &s.mu)
 	for i := 0; i < cfg.NumGPUs; i++ {
 		ec := cfg.Engine
@@ -191,9 +207,9 @@ func (s *Server) drainQueue(now time.Duration) {
 
 // onToken runs inside Engine.Step with s.mu held.
 func (s *Server) onToken(tok core.Token) {
-	if ch, ok := s.streams[tok.RequestID]; ok {
+	if st, ok := s.streams[tok.RequestID]; ok {
 		select {
-		case ch <- tok:
+		case st.ch <- tok:
 		default: // stream buffer full: client abandoned; drop.
 		}
 	}
@@ -204,60 +220,69 @@ func (s *Server) onFinish(r *core.Request) { s.closeStream(r.ID) }
 
 // onShed runs inside Scheduler.Dispatch with s.mu held: the admission
 // layer dropped a queued request to admit a higher-priority arrival.
-// Closing the victim's stream wakes its HTTP handler, which consults
-// WasShed to answer 429 instead of a truncated 200.
+// Closing the victim's stream wakes its reader, which answers 429
+// instead of a truncated 200.
 func (s *Server) onShed(r *core.Request) {
-	s.shed[r.ID] = true
+	if st, ok := s.streams[r.ID]; ok {
+		st.shed = true
+	}
 	s.closeStream(r.ID)
 }
 
-// WasShed reports (and consumes) whether request id was dropped by the
-// admission layer's shed policy.
-func (s *Server) WasShed(id int64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	was := s.shed[id]
-	delete(s.shed, id)
-	return was
-}
+// Handler returns the REST API (see serve.Handler).
+func (s *Server) Handler() http.Handler { return s.api }
 
 // RetryAfter estimates, in wall time, when a rejected client should
 // retry: the simulated time the current drain rate needs to free one
 // queue slot, converted through the speedup factor and clamped to
-// [1s, 120s] — HTTP Retry-After has whole-second resolution and callers
-// should not be parked forever on a transient spike.
+// [1s, 120s].
 func (s *Server) RetryAfter() time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return min(max(s.clock.Wall(s.sch.RetryAfterHint(1)), time.Second), 120*time.Second)
+	return clampRetryAfter(s.clock.Wall(s.sch.RetryAfterHint(1)))
 }
+
+// Stats returns the GET /v1/stats body: the Snapshot.
+func (s *Server) Stats() any { return s.Snapshot() }
 
 // Submit enqueues a generation request and returns its id and token
 // stream. The stream is closed when generation completes or the request
 // is cancelled.
 func (s *Server) Submit(model int64, promptLen, outputLen int) (int64, <-chan core.Token, error) {
-	return s.SubmitTenant(model, 0, promptLen, outputLen)
+	st, err := s.submit(model, 0, promptLen, outputLen)
+	if err != nil {
+		return 0, nil, err
+	}
+	return st.id, st.ch, nil
 }
 
-// SubmitTenant is Submit with a tenant tag: under Config.Fairness the
-// scheduler's VTC layer keys admission fairness on it. Tenant 0 is
-// untagged (all untagged requests share one fairness bucket).
-func (s *Server) SubmitTenant(model, tenant int64, promptLen, outputLen int) (int64, <-chan core.Token, error) {
-	if promptLen <= 0 || outputLen <= 0 {
-		return 0, nil, fmt.Errorf("serve: prompt and output lengths must be positive")
+// Open is Submit for the REST API: the stream yields each token's
+// NDJSON line. Under Config.Fairness the scheduler's VTC layer keys
+// admission fairness on tenant (0 is untagged: all untagged requests
+// share one fairness bucket). Open never blocks; a queued request's
+// stream waits in Next.
+func (s *Server) Open(_ context.Context, model, tenant int64, promptLen, outputLen int) (Stream, error) {
+	st, err := s.submit(model, tenant, promptLen, outputLen)
+	if err != nil {
+		return nil, err
 	}
-	if tenant < 0 {
-		return 0, nil, fmt.Errorf("serve: tenant id must be non-negative")
+	return st, nil
+}
+
+func (s *Server) submit(model, tenant int64, promptLen, outputLen int) (*stream, error) {
+	if promptLen <= 0 || outputLen <= 0 {
+		return nil, fmt.Errorf("serve: prompt and output lengths must be positive")
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return 0, nil, fmt.Errorf("serve: server closed")
+		return nil, fmt.Errorf("serve: server closed")
 	}
 	s.nextID++
 	id := s.nextID
-	ch := make(chan core.Token, outputLen+1)
-	s.streams[id] = ch
+	st := &stream{s: s, id: id, ch: make(chan core.Token, outputLen+1)}
+	st.enc = json.NewEncoder(&st.buf)
+	s.streams[id] = st
 	now := s.clock.Now()
 	r := &core.Request{
 		ID:        id,
@@ -270,12 +295,44 @@ func (s *Server) SubmitTenant(model, tenant int64, promptLen, outputLen int) (in
 	g, err := s.sch.Dispatch(r, now)
 	if err != nil {
 		delete(s.streams, id)
-		return 0, nil, err
+		return nil, err
 	}
 	if g != nil {
 		s.drivers[g].Kick()
 	}
-	return id, ch, nil
+	return st, nil
+}
+
+func (st *stream) ID() int64 { return st.id }
+
+func (st *stream) Cancel() { st.s.Cancel(st.id) }
+
+// Next encodes the next token into the stream's reused buffer.
+func (st *stream) Next(ctx context.Context) ([]byte, error) {
+	select {
+	case tok, ok := <-st.ch:
+		if !ok {
+			switch {
+			case st.started:
+				return nil, io.EOF
+			case st.shed:
+				return nil, ErrShed
+			}
+			return nil, errDropped
+		}
+		st.started = true
+		st.buf.Reset()
+		err := st.enc.Encode(&TokenEvent{
+			RequestID: tok.RequestID,
+			Index:     tok.Index,
+			TokenID:   tok.TokenID,
+			SimTime:   tok.At.Seconds(),
+			EOS:       tok.EOS,
+		})
+		return st.buf.Bytes(), err
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
 }
 
 // FailGPU kills one in-process GPU by UUID: its engine drops all
@@ -312,18 +369,16 @@ func (s *Server) FailGPU(uuid string) bool {
 	return true
 }
 
-// Cancel aborts a request (e.g. the client disconnected, §5.3) and closes
-// its stream. It reports whether the request was found.
+// Cancel aborts a request (e.g. the client disconnected, §5.3) whether
+// it is running or still queued, and closes its stream. It reports
+// whether the request was found.
 func (s *Server) Cancel(id int64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	now := s.clock.Now()
-	found := false
-	for _, g := range s.gpus {
-		if g.Engine.Cancel(id, now) != nil {
-			found = true
-			break
-		}
+	found := s.sch.CancelQueued(id)
+	for i := 0; !found && i < len(s.gpus); i++ {
+		found = s.gpus[i].Engine.Cancel(id, now) != nil
 	}
 	found = s.closeStream(id) || found
 	if found {
@@ -402,7 +457,7 @@ func (s *Server) Snapshot() Stats {
 		Rejected:          s.sch.AdmissionStats().Rejected,
 		TenantRejected:    s.sch.AdmissionStats().TenantRejected,
 		Shed:              s.sch.AdmissionStats().Shed,
-		HTTP429:           s.rejected429,
+		HTTP429:           s.api.HTTP429(),
 	}
 	for _, g := range s.gpus {
 		eng := g.Engine.(*core.Engine)
@@ -446,9 +501,9 @@ func (s *Server) Close() {
 // closeStream closes and forgets a request's token stream, reporting
 // whether one was open.
 func (s *Server) closeStream(id int64) bool {
-	ch, ok := s.streams[id]
+	st, ok := s.streams[id]
 	if ok {
-		close(ch)
+		close(st.ch)
 		delete(s.streams, id)
 	}
 	return ok

@@ -44,8 +44,8 @@ var (
 )
 
 // Backpressure is the unified JSON envelope every overload-shaped HTTP
-// refusal wears (429 admission rejections and sheds, 503 capacity
-// refusals); clients key off Code and honor Retry-After.
+// refusal wears (429 admission rejections and sheds, 503 transient
+// failures); clients key off Code and honor Retry-After.
 type Backpressure = serve.Backpressure
 
 // Backpressure envelope codes.
@@ -53,7 +53,6 @@ const (
 	BackpressureQueueFull       = serve.CodeQueueFull
 	BackpressureTenantQueueFull = serve.CodeTenantQueueFull
 	BackpressureShed            = serve.CodeShed
-	BackpressureStoreFull       = serve.CodeStoreFull
 	BackpressureUnavailable     = serve.CodeUnavailable
 )
 
